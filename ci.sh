@@ -125,6 +125,17 @@ READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
     ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 
+# Exact-bracketed-quantile oracles at depth: the fault sampler against
+# its per-cell Newton oracle (LineFaults and the RNG's next draw), the
+# screened wear scan against the full endurance scan, and the BCH ≤t
+# decode shortcut against a full decode — 1024 cases each in release,
+# where the tier-1 run above uses the default 64.
+echo "==> bracketed-quantile oracles (release, READDUO_PROP_CASES=1024)"
+READDUO_PROP_CASES=1024 cargo test -q --release -p readduo-pcm -- \
+    bracketed_sampler_matches_the_newton_oracle
+READDUO_PROP_CASES=1024 cargo test -q --release --test proptests -- \
+    wear_screened_scan bch_pattern_shortcut
+
 # Endurance gate, three directions. (1) A seeded accelerated-wear sweep
 # with the spare pool squeezed to 2 lines must deterministically run it
 # dry: at least one row has to report writes that wanted a spare and

@@ -302,6 +302,13 @@ impl Bch {
             assert!(!cw.get(p as usize), "error position {p} repeated");
             cw.set(p as usize, true);
         }
+        // The BCH bound: designed distance 2t + 1 means any weight-≤t
+        // pattern decodes back to the true codeword, so Berlekamp–Massey
+        // and the Chien search could only confirm it. This also covers
+        // both trials of the erasure decode, which comes through here.
+        if positions.len() <= self.t as usize {
+            return PatternOutcome::Corrected(positions.len());
+        }
         match self.decode(&mut cw) {
             DecodeOutcome::Clean if positions.is_empty() => PatternOutcome::Clean,
             // A nonzero pattern with all-zero syndromes IS another

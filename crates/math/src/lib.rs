@@ -46,5 +46,5 @@ pub use binomial::BinomialSampler;
 pub use erf::{erf, erf_slice, erfc, erfc_scaled, erfc_slice, inverse_erf};
 pub use integrate::{adaptive_simpson, gauss_legendre, GaussLegendre};
 pub use logspace::{ln_choose, ln_factorial, log1mexp, log_sum_exp, LogProb};
-pub use normal::{Normal, TruncatedNormal};
+pub use normal::{std_quantile_bracket, Normal, TruncatedNormal};
 pub use stats::{geometric_mean, mean, population_stddev, Summary};

@@ -17,6 +17,15 @@
 //! (`σ_M = σ_R`, `μ_{α,M} = μ_{α,R}/7`, so `α_M = α_R / 7` cell by cell).
 //! A consequence worth testing: any cell that misreads under the M-metric
 //! also misreads under the R-metric — escalation can only help.
+//!
+//! The programmed deviate `z` is an inverse-CDF draw, but the sampler
+//! rarely computes it: it senses both ends of a closed-form bracket on
+//! `z` ([`TruncatedNormal::sample_bracket`]) and, because the sensed level
+//! is monotone in `z`, ends that agree decide the cell exactly. Only a
+//! bracket straddling a reference pays for the Newton quantile
+//! ([`TruncatedNormal::sample_at`]). The RNG is consumed exactly as a
+//! per-cell `z_programmed.sample` would, so results are draw-for-draw
+//! those of the Newton sampler, which the unit tests keep as the oracle.
 
 use crate::drift::{drift_exponent, log_metric_at_u};
 use crate::params::{MetricConfig, PROGRAM_WIDTH_SIGMAS};
@@ -171,21 +180,52 @@ impl FaultModel {
             if !can_cross_r[level.index()] {
                 continue;
             }
-            let z = self.z_programmed.sample(rng);
+            // The draws `z_programmed.sample` then `z_alpha.sample` make,
+            // in that order; the programmed deviate is inverted below.
+            let p = TruncatedNormal::draw_uniform(rng);
             let za = self.z_alpha.sample(rng);
-            let sensed_r = self.sense_one(&self.r, level, z, za, u);
+            let (sensed_r, sensed_m) = self.sense_cell(level, p, za, u);
             if sensed_r == level {
                 continue; // M cannot misread if R did not
             }
             push_cell_bits(&mut faults.r_bits, cell, level, sensed_r);
             faults.r_cells += 1;
-            let sensed_m = self.sense_one(&self.m, level, z, za, u);
             if sensed_m != level {
                 push_cell_bits(&mut faults.m_bits, cell, level, sensed_m);
                 faults.m_cells += 1;
             }
         }
         faults
+    }
+
+    /// Senses one cell under R and M, with programmed deviate
+    /// `z = z_programmed.sample_at(p)`, drift deviate `za` and the hoisted
+    /// drift exponent `u`: the exact bracketed quantile.
+    ///
+    /// The sensed level is a monotone step function of `z` (`mu + z·σ`
+    /// and `+ α·u` round monotonically, and `sense_level` compares against
+    /// fixed references), so when both ends of the closed-form bracket on
+    /// `z` sense alike, `z` itself senses the same. Only a bracket that
+    /// straddles a reference (R's, or M's for an R misread) pays for the
+    /// Newton quantile. The M result is meaningful only when R misreads.
+    fn sense_cell(&self, level: CellLevel, p: f64, za: f64, u: f64) -> (CellLevel, CellLevel) {
+        let t = &self.z_programmed;
+        let (zl, zh) = t.sample_bracket(p);
+        let (r_lo, m_lo) = self.sense_both(level, zl, za, u);
+        let (r_hi, m_hi) = self.sense_both(level, zh, za, u);
+        if r_lo == r_hi && (r_lo == level || m_lo == m_hi) {
+            (r_lo, m_lo)
+        } else {
+            self.sense_both(level, t.sample_at(p), za, u)
+        }
+    }
+
+    /// [`sense_one`](Self::sense_one) under both metrics.
+    fn sense_both(&self, level: CellLevel, z: f64, za: f64, u: f64) -> (CellLevel, CellLevel) {
+        (
+            self.sense_one(&self.r, level, z, za, u),
+            self.sense_one(&self.m, level, z, za, u),
+        )
     }
 
     /// Drifts one cell's shared deviates through `cfg` by the hoisted
@@ -222,6 +262,82 @@ fn push_cell_bits(bits: &mut Vec<u16>, cell: u32, level: CellLevel, sensed: Cell
 mod tests {
     use super::*;
     use readduo_rng::{rngs::StdRng, RngCore, SeedableRng};
+
+    /// The per-cell Newton sampler `sample_line` replaced: every crossable
+    /// cell pays for the exact quantile via `TruncatedNormal::sample`.
+    /// The bracketed sampler must match it draw for draw.
+    fn sample_line_newton<R: Rng + ?Sized>(
+        model: &FaultModel,
+        age_s: f64,
+        cells: u32,
+        rng: &mut R,
+    ) -> LineFaults {
+        let u = drift_exponent(age_s, model.r.t0());
+        let can_cross_r = CellLevel::ALL.map(|l| FaultModel::level_can_cross(&model.r, l, u));
+        let mut faults = LineFaults::default();
+        if !can_cross_r.contains(&true) {
+            return faults;
+        }
+        for cell in 0..cells {
+            let level = CellLevel::from_index(rng.gen_range(0..4usize));
+            if !can_cross_r[level.index()] {
+                continue;
+            }
+            let z = model.z_programmed.sample(rng);
+            let za = model.z_alpha.sample(rng);
+            let sensed_r = model.sense_one(&model.r, level, z, za, u);
+            if sensed_r == level {
+                continue;
+            }
+            push_cell_bits(&mut faults.r_bits, cell, level, sensed_r);
+            faults.r_cells += 1;
+            let sensed_m = model.sense_one(&model.m, level, z, za, u);
+            if sensed_m != level {
+                push_cell_bits(&mut faults.m_bits, cell, level, sensed_m);
+                faults.m_cells += 1;
+            }
+        }
+        faults
+    }
+
+    #[test]
+    fn bracketed_sampler_matches_the_newton_oracle_draw_for_draw() {
+        // `READDUO_PROP_CASES` seeds (default 64), as for the workspace's
+        // property tests; CI reruns this in release at 1024.
+        let seeds = std::env::var("READDUO_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(64)
+            .max(40);
+        let ages = [0.5, 1.0, 8.0, 64.0, 640.0, 3600.0, 2e4, 3e4, 1e5, 1e6, 1e8];
+        let model = FaultModel::paper();
+        let mut r_cells = 0u64;
+        for seed in 0..seeds {
+            for &age in &ages {
+                for cells in [256u32, 296] {
+                    let key = seed ^ (age as u64).rotate_left(20) ^ (u64::from(cells) << 56);
+                    let mut fast = StdRng::seed_from_u64(key);
+                    let mut oracle = StdRng::seed_from_u64(key);
+                    for line in 0..8 {
+                        let got = model.sample_line(age, cells, &mut fast);
+                        let want = sample_line_newton(&model, age, cells, &mut oracle);
+                        assert_eq!(
+                            got, want,
+                            "seed {seed}, age {age}, {cells} cells, line {line}"
+                        );
+                        r_cells += u64::from(got.r_cells);
+                    }
+                    assert_eq!(
+                        fast.next_u64(),
+                        oracle.next_u64(),
+                        "RNG diverged: seed {seed}, age {age}, {cells} cells"
+                    );
+                }
+            }
+        }
+        assert!(r_cells > 0, "the ages must exercise misreads");
+    }
 
     #[test]
     fn fresh_lines_are_fault_free_and_draw_nothing() {
@@ -291,7 +407,10 @@ mod tests {
         };
         let young = count_at(8.0, 5);
         let old = count_at(640.0, 5);
-        assert!(old > young, "drift errors must accumulate: {young} vs {old}");
+        assert!(
+            old > young,
+            "drift errors must accumulate: {young} vs {old}"
+        );
     }
 
     #[test]

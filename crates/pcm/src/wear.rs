@@ -21,10 +21,13 @@
 //! empirical model for PCM cycles-to-failure): `N = median ·
 //! exp(σ·Φ⁻¹(u))` with `u` a per-cell uniform derived by hashing. There
 //! is no RNG stream to advance and nothing to allocate — cold cells cost
-//! one hash when first examined.
+//! one hash when first examined. The controller only ever asks for the
+//! line's *weakest* live cell ([`WearModel::weakest_cell`]), which screens
+//! the line with a closed-form bracket on `Φ⁻¹` and pays for the exact
+//! (Newton) quantile only on the few cells that can still be the minimum.
 
 use crate::state::CellLevel;
-use readduo_math::Normal;
+use readduo_math::{std_quantile_bracket, Normal};
 
 /// Lognormal shape parameter of the cycles-to-failure distribution, in
 /// natural-log space. σ = 0.45 puts the weakest cell of a 296-cell line
@@ -89,14 +92,66 @@ impl WearModel {
     /// Lognormal: `median · exp(σ · Φ⁻¹(u))` with `u` hashed from the
     /// cell's coordinates. The top 11 bits of the hash are discarded to
     /// build a uniform in the open interval (0, 1) — `Φ⁻¹` rejects the
-    /// endpoints.
+    /// endpoints. `Φ⁻¹` is the exact (Newton) `Normal::quantile`: this is
+    /// the definition [`weakest_cell`](Self::weakest_cell) must reproduce,
+    /// and that scan calls it only for the cells its screen cannot rule
+    /// out.
     pub fn endurance_cycles(&self, line: u64, cell: u32, generation: u32) -> u64 {
-        let h = self.h(line, cell, generation, 0x57EA_12D0);
-        // 53 mantissa bits, offset by half an ulp: u ∈ (0, 1) strictly.
-        let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let z = Normal::standard().quantile(u);
+        let z = Normal::standard().quantile(self.endurance_uniform(line, cell, generation));
         let n = self.median_cycles as f64 * (self.sigma_ln * z).exp();
         (n.max(1.0)).min(u64::MAX as f64) as u64
+    }
+
+    /// The uniform behind [`endurance_cycles`](Self::endurance_cycles).
+    fn endurance_uniform(&self, line: u64, cell: u32, generation: u32) -> f64 {
+        let h = self.h(line, cell, generation, 0x57EA_12D0);
+        // 53 mantissa bits, offset by half an ulp: u ∈ (0, 1) strictly.
+        ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+    }
+
+    /// The weakest live cell of `line` at `generation`: the minimum
+    /// [`endurance_cycles`](Self::endurance_cycles) over cells `0..cells`
+    /// not in `stuck` (ascending), as `(cycles, cell)`, lowest index on
+    /// ties; `(u64::MAX, 0)` when every cell is dead.
+    ///
+    /// Exactly the full scan's answer, at a few exact quantiles per line
+    /// instead of one per cell. The cell with the smallest uniform has the
+    /// smallest `z`; it is evaluated exactly, giving `n0`. Every other
+    /// cell's `z` is bracketed in closed form ([`std_quantile_bracket`]),
+    /// and a cell whose lower-bound cycles `median·exp(σ·z_lo)` reach
+    /// `n0 + 1` has `cycles > n0` and cannot win. Only the rest are
+    /// evaluated exactly. The integer floor makes ties real (several cells
+    /// at `n0`), which is why the screen is on cycles, not on a `z`
+    /// window, and why the exact pass keeps the lowest index.
+    pub fn weakest_cell(
+        &self,
+        line: u64,
+        generation: u32,
+        cells: u32,
+        stuck: &[u16],
+    ) -> (u64, u32) {
+        let live = || (0..cells).filter(|&c| stuck.binary_search(&(c as u16)).is_err());
+        let uniform = |cell| self.endurance_uniform(line, cell, generation);
+        let Some((_, first)) = live()
+            .map(|c| (uniform(c), c))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+        else {
+            return (u64::MAX, 0);
+        };
+        let n0 = self.endurance_cycles(line, first, generation);
+        // `median·exp(σ·z) < n0 + 1` in z-space; the 1e-9 of slack dwarfs
+        // the rounding of `ln`, `exp` and the multiplies.
+        let z_cap = ((n0 as f64 + 1.0) / self.median_cycles as f64).ln() / self.sigma_ln + 1e-9;
+        let mut best = (u64::MAX, 0u32);
+        for cell in live() {
+            if std_quantile_bracket(uniform(cell)).0 < z_cap {
+                let n = self.endurance_cycles(line, cell, generation);
+                if n < best.0 {
+                    best = (n, cell);
+                }
+            }
+        }
+        best
     }
 
     /// The level a dead cell is stuck at: fully crystalline (stuck-at-SET,
@@ -183,6 +238,16 @@ mod tests {
         let m = WearModel::new(5, 1_000_000);
         let gens: Vec<u64> = (0..4).map(|g| m.endurance_cycles(3, 0, g)).collect();
         assert!(gens.windows(2).any(|w| w[0] != w[1]), "remap must re-roll");
+    }
+
+    #[test]
+    fn weakest_cell_of_a_dead_line_is_none() {
+        // The screen-versus-full-scan property and the integer-tie
+        // regression live in tests/proptests.rs.
+        let m = WearModel::new(1, 1000);
+        let all: Vec<u16> = (0..4).collect();
+        assert_eq!(m.weakest_cell(5, 0, 4, &all), (u64::MAX, 0));
+        assert_eq!(m.weakest_cell(5, 0, 0, &[]), (u64::MAX, 0));
     }
 
     #[test]

@@ -12,16 +12,18 @@ use std::sync::OnceLock;
 
 use prop_harness::{check, ensure, ensure_eq, gen_bytes, gen_subset};
 use readduo::core::LwtFlags;
-use readduo::ecc::{Bch, BchBitslice, BitVec, DecodeOutcome, GfField, BITSLICE_LANES};
+use readduo::ecc::{
+    Bch, BchBitslice, BitVec, DecodeOutcome, GfField, PatternOutcome, BITSLICE_LANES,
+};
 use readduo::math::{binomial, erf, erf_slice, erfc, erfc_slice, ln_choose, LogProb};
 use readduo::memsim::{ChannelMerge, Topology};
 use readduo::pcm::state::{bytes_to_cell_data, cell_data_to_bytes};
 use readduo::pcm::{
-    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, MetricConfig,
+    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, MetricConfig, WearModel,
 };
 use readduo::reliability::{CachedErrorCurve, CellErrorModel};
 use readduo::trace::{read_trace, write_trace, TraceGenerator, Workload};
-use readduo_rng::Rng as _;
+use readduo_rng::{Rng as _, RngCore as _};
 
 /// GF(2^10): field axioms on arbitrary nonzero elements.
 #[test]
@@ -100,6 +102,94 @@ fn bch_detects_beyond_t() {
             Ok(())
         },
     );
+}
+
+/// Weight-≤t patterns take the BCH-bound shortcut in
+/// `decode_error_pattern`; it must agree with a full decode of the
+/// materialised word, for every weight 1..=t.
+#[test]
+fn bch_pattern_shortcut_matches_full_decode() {
+    check(
+        "bch_pattern_shortcut_matches_full_decode",
+        |rng| gen_subset(rng, 592, 1, 8),
+        |positions| {
+            if positions.is_empty() || positions.len() > 8 {
+                return Ok(());
+            }
+            let code = Bch::new(10, 8, 512);
+            let pattern = to_u16(positions.iter().copied());
+            let mut cw = BitVec::zeros(code.codeword_bits());
+            for &p in positions {
+                cw.flip(p);
+            }
+            ensure_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(positions.len()));
+            ensure_eq!(cw.count_ones(), 0);
+            ensure_eq!(code.decode_error_pattern(&pattern), PatternOutcome::Corrected(positions.len()));
+            Ok(())
+        },
+    );
+    // And every weight explicitly, so no weight rests on the generator.
+    let code = Bch::new(10, 8, 512);
+    for w in 1..=8u16 {
+        let pattern: Vec<u16> = (0..w).map(|i| i * 73 + 5).collect();
+        let mut cw = BitVec::zeros(code.codeword_bits());
+        for &p in &pattern {
+            cw.flip(p as usize);
+        }
+        assert_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(w as usize));
+        assert_eq!(code.decode_error_pattern(&pattern), PatternOutcome::Corrected(w as usize));
+    }
+}
+
+/// The wear scan `WearModel::weakest_cell` replaced: one exact (Newton)
+/// quantile per live cell, lowest index on ties.
+fn weakest_cell_full_scan(m: &WearModel, line: u64, g: u32, stuck: &[u16]) -> (u64, u32) {
+    let mut best = (u64::MAX, 0u32);
+    for cell in 0..296 {
+        if stuck.binary_search(&(cell as u16)).is_ok() {
+            continue;
+        }
+        let n = m.endurance_cycles(line, cell, g);
+        if n < best.0 {
+            best = (n, cell);
+        }
+    }
+    best
+}
+
+/// The screened wear scan equals the full scan at medians 1e3/1e5/1e7,
+/// generations 0–2, while the weakest cell dies again and again.
+#[test]
+fn wear_screened_scan_matches_full_scan() {
+    check(
+        "wear_screened_scan_matches_full_scan",
+        |rng| (rng.next_u64(), rng.gen_range(0u8..3), rng.next_u64(), rng.gen_range(0u8..=12)),
+        |&(seed, median, line, kills)| {
+            let median = [1_000, 100_000, 10_000_000][usize::from(median % 3)];
+            let m = WearModel::new(seed, median);
+            for g in 0..=2 {
+                let mut stuck: Vec<u16> = Vec::new();
+                for _ in 0..=kills {
+                    let want = weakest_cell_full_scan(&m, line, g, &stuck);
+                    ensure_eq!(m.weakest_cell(line, g, 296, &stuck), want);
+                    let at = stuck.partition_point(|&c| u32::from(c) < want.1);
+                    stuck.insert(at, want.1 as u16);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Integer-floor ties are real: at seed 0, median 1000, line 18,
+/// generation 0, cells 37 and 291 both last 336 cycles. The scan keeps
+/// the lower index; a screen on a fixed `z` window would pick 291.
+#[test]
+fn wear_scan_integer_tie_regression() {
+    let m = WearModel::new(0, 1000);
+    assert_eq!(m.endurance_cycles(18, 291, 0), 336);
+    assert_eq!(weakest_cell_full_scan(&m, 18, 0, &[]), (336, 37));
+    assert_eq!(m.weakest_cell(18, 0, 296, &[]), (336, 37));
 }
 
 /// Binomial tail is monotone and bounded by the union bound.
