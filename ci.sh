@@ -125,6 +125,17 @@ READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
     ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 
+# Benchmark API gate: perfbench/ is a crate of its own that calls a fixed
+# slice of the library (SchemeKind::build_for/build_faulty/build_worn/
+# build_tiered, Harness::run_on_trace/stream_for, TieredDevice). Building
+# it offline and running one short audited fault_reads repetition — the
+# leg that goes through build_faulty and build_worn — makes a change that
+# breaks that surface fail here rather than in the benchmark run.
+echo "==> perfbench build + audited fault_reads smoke"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --workload fault_reads --seed 1 --seconds 2 >/dev/null
+echo "    perfbench fault_reads audit passed"
+
 # Exact-bracketed-quantile oracles at depth: the fault sampler against
 # its per-cell Newton oracle (LineFaults and the RNG's next draw), the
 # screened wear scan against the full endurance scan, and the BCH ≤t

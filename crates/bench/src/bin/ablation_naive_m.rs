@@ -8,7 +8,7 @@
 //! W=0 scrubbing it was meant to replace.
 
 use readduo_bench::{render_table, write_csv, Harness};
-use readduo_core::MMetricScheme;
+use readduo_core::{DeviceHints, DeviceSpec, MMetricScheme, SchemeKind};
 use readduo_memsim::{DeviceModel, Simulator};
 use readduo_pcm::SenseTiming;
 use readduo_trace::{TraceGenerator, Workload};
@@ -59,10 +59,11 @@ fn main() {
             let w = Workload::by_name(name).expect("known workload");
             let trace =
                 TraceGenerator::new(harness.seed).generate(&w, harness.instructions_per_core, 4);
-            let warm =
-                (w.footprint_lines as f64 * w.locality.written_fraction) as u64;
-            let mut ideal =
-                readduo_core::SchemeKind::Ideal.build_for(harness.seed, warm, w.footprint_lines);
+            let hints = DeviceHints {
+                warm_boundary: (w.footprint_lines as f64 * w.locality.written_fraction) as u64,
+                footprint_lines: w.footprint_lines,
+            };
+            let mut ideal = DeviceSpec::from(SchemeKind::Ideal).build(harness.seed, 0, 1, hints);
             let base = sim.run(&trace, ideal.as_mut());
             let mut dev = SlowM {
                 inner: MMetricScheme::paper(harness.seed),

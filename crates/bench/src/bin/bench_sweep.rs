@@ -19,8 +19,8 @@
 //! and shard-scale rows.
 
 use readduo_bench::micro::Micro;
-use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_memsim::MemoryConfig;
 use readduo_pool::Pool;
 use readduo_trace::Workload;
@@ -143,7 +143,10 @@ fn main() {
             w.name
         );
         let t = Instant::now();
-        let r1 = h8.run_streamed_on(&Pool::new(1), w, scheme);
+        let spec = DeviceSpec::from(scheme);
+        let r1 = h8
+            .run_on(&Pool::new(1), w, &spec, Source::Stream)
+            .expect("a bare scheme is always a valid spec");
         let t1 = t.elapsed().as_secs_f64() * 1e3;
         if shard_not_meaningful {
             eprintln!(
@@ -153,7 +156,9 @@ fn main() {
             (t1, -1.0)
         } else {
             let t = Instant::now();
-            let r8 = h8.run_streamed_on(&Pool::new(8), w, scheme);
+            let r8 = h8
+                .run_on(&Pool::new(8), w, &spec, Source::Stream)
+                .expect("a bare scheme is always a valid spec");
             let t8 = t.elapsed().as_secs_f64() * 1e3;
             assert_eq!(
                 r1.report, r8.report,
@@ -185,14 +190,15 @@ fn main() {
             .find(|w| w.name == "mcf")
             .expect("spec2006 includes mcf");
         let scheme = SchemeKind::Select { k: 4, s: 2 };
+        let spec = DeviceSpec {
+            faults: Some(0x00FA_0017),
+            wear: Some(wear),
+            ..scheme.into()
+        };
         let t = Instant::now();
-        let r1 = h
-            .run_one_worn(w, scheme, 0x00FA_0017, wear)
-            .expect("Select is injectable");
+        let r1 = h.run_one(w, &spec).expect("Select is injectable");
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        let r2 = h
-            .run_one_worn(w, scheme, 0x00FA_0017, wear)
-            .expect("Select is injectable");
+        let r2 = h.run_one(w, &spec).expect("Select is injectable");
         assert_eq!(r1.report, r2.report, "worn run is not deterministic");
         assert!(
             r1.report.lines_remapped > 0,
@@ -222,22 +228,15 @@ fn main() {
         let caps: [u64; 3] = [4_096, 16_384, 65_536];
         let trace = h.trace_for(w);
         let base = h.run_on_trace(w, &trace, scheme);
+        let tiered = |cap| {
+            let dram = readduo_dram::DramConfig::new(h.seed, cap).with_threshold(1);
+            let spec = DeviceSpec { dram: Some(dram), ..scheme.into() };
+            h.run(w, &spec, Source::Trace(&trace)).expect("a tier fits every scheme")
+        };
         let t = Instant::now();
-        let runs: Vec<_> = caps
-            .iter()
-            .map(|&cap| {
-                let dram =
-                    readduo_dram::DramConfig::new(h.seed, cap).with_threshold(1);
-                h.run_tiered_on_trace(w, &trace, scheme, dram)
-            })
-            .collect();
+        let runs: Vec<_> = caps.iter().map(|&cap| tiered(cap)).collect();
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        let again = h.run_tiered_on_trace(
-            w,
-            &trace,
-            scheme,
-            readduo_dram::DramConfig::new(h.seed, caps[1]).with_threshold(1),
-        );
+        let again = tiered(caps[1]);
         assert_eq!(runs[1].report, again.report, "tiered run is not deterministic");
         let hit_rates: Vec<f64> = runs.iter().map(|r| r.report.dram_hit_rate()).collect();
         assert!(

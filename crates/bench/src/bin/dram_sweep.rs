@@ -19,8 +19,8 @@
 //! capacity and threshold are the swept dimensions, so
 //! `READDUO_DRAM_LINES` / `READDUO_DRAM_THRESHOLD` are ignored here.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_dram::DramConfig;
 use readduo_trace::Workload;
 
@@ -75,11 +75,13 @@ fn main() {
 
     for w in &workloads {
         let trace = harness.trace_for(w);
-        let base = harness.run_tiered_on_trace(w, &trace, scheme, {
-            // A zero-capacity config runs the bare scheme device — the
-            // plain run every tiered row normalises against.
-            DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) }
-        });
+        let tiered = |dram| {
+            let spec = DeviceSpec { dram: Some(dram), ..scheme.into() };
+            harness.run(w, &spec, Source::Trace(&trace)).expect("a tier fits every scheme")
+        };
+        // A zero-capacity config runs the bare scheme device — the plain
+        // run every tiered row normalises against.
+        let base = tiered(DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) });
         let base_cells = base.report.cells_written_total().max(1);
         let base_rm = base.report.rm_read_rate();
         for (pi, (&cap, &thr)) in CAPACITIES
@@ -88,7 +90,7 @@ fn main() {
             .enumerate()
         {
             let dram = DramConfig::new(harness.seed, cap).tuned_from_env().with_threshold(thr);
-            let r = harness.run_tiered_on_trace(w, &trace, scheme, dram);
+            let r = tiered(dram);
             let rep = &r.report;
             let ratio = rep.cells_written_total() as f64 / base_cells as f64;
             agg_hit[pi] += rep.dram_hit_rate();

@@ -20,7 +20,7 @@
 //! sets the Monte-Carlo sample size (default 20 000 lines per point).
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::{FaultInjector, HybridScheme, SchemeKind};
+use readduo_core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo_memsim::{MemoryConfig, Simulator};
 use readduo_pcm::{FaultModel, MetricConfig};
 use readduo_reliability::{CellErrorModel, LerAnalysis};
@@ -163,9 +163,8 @@ fn main() {
     let toy = Workload::toy();
     println!("\nend-to-end faulty runs (toy workload, {} instr/core):", h.instructions_per_core);
     for scheme in [SchemeKind::Scrubbing, SchemeKind::Hybrid, SchemeKind::Lwt { k: 4 }] {
-        let r = h
-            .run_one_faulty(&toy, scheme, seed ^ 2)
-            .expect("scheme supports fault injection");
+        let spec = DeviceSpec { faults: Some(seed ^ 2), ..scheme.into() };
+        let r = h.run_one(&toy, &spec).expect("scheme supports fault injection");
         println!(
             "  {:<12} reads {:>7}  errored {:>5}  ecc bits {:>5}  rm {:>4}  corrective {:>3}  \
              detected {:>2}  silent {:>2}",
@@ -195,7 +194,7 @@ fn main() {
     let mut cold = HybridScheme::paper(seed)
         .with_cold_age(band_age)
         .with_fault_injection(seed ^ 3)
-        .with_dense_region(toy.footprint_lines);
+        .reserve_lines(toy.footprint_lines);
     let rep = sim.run(&trace, &mut cold);
     println!(
         "\ncold Hybrid @ {band_age:.0} s: {} reads, {} escalated (retry mean {:.0} ns, \

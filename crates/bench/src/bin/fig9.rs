@@ -14,8 +14,9 @@
 
 use readduo_bench::{
     finish_telemetry, handle_help, normalized, render_table, result_for, write_csv, Harness,
+    Source,
 };
-use readduo_core::SchemeKind;
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_trace::Workload;
 
 fn main() {
@@ -84,7 +85,9 @@ fn main() {
             for w in &workloads {
                 let trace = harness.trace_for(w);
                 for &s in &schemes {
-                    v.push(harness.run_tiered_on_trace(w, &trace, s, dram));
+                    let spec = DeviceSpec { dram: Some(dram), ..s.into() };
+                    let r = harness.run(w, &spec, Source::Trace(&trace));
+                    v.push(r.expect("a tier fits every scheme"));
                 }
             }
             v

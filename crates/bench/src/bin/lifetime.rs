@@ -23,7 +23,7 @@
 //! the fault and endurance streams.
 
 use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
-use readduo_core::{SchemeKind, WearConfig};
+use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
 use readduo_trace::Workload;
 
 /// Accelerated-aging factors swept: real time, onset of verify retries,
@@ -77,9 +77,12 @@ fn main() {
     for scheme in schemes {
         let mut baseline_cells = 0u64;
         for accel in ACCELS {
-            let r = harness
-                .run_one_worn(&workload, scheme, fault_seed, base.with_accel(accel))
-                .expect("injectable scheme");
+            let spec = DeviceSpec {
+                faults: Some(fault_seed),
+                wear: Some(base.with_accel(accel)),
+                ..scheme.into()
+            };
+            let r = harness.run_one(&workload, &spec).expect("injectable scheme");
             let rep = &r.report;
             let cells = rep.cells_written_total().max(1);
             if accel == 1 {

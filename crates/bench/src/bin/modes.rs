@@ -29,7 +29,10 @@ fn main() {
         "workload", "reads", "R%", "M%", "RM%", "untrk%", "conv", "scrubs", "scrubRW", "cancels"
     );
     for w in &workloads {
-        let r = harness.run_one(w, scheme).report;
+        let r = harness
+            .run_one(w, &scheme.into())
+            .expect("a bare scheme is always a valid spec")
+            .report;
         let reads = r.reads.max(1) as f64;
         println!(
             "{:<12} {:>9} {:>6.1}% {:>6.1}% {:>6.1}% {:>7.1}% {:>8} {:>9} {:>9} {:>9}",

@@ -13,7 +13,7 @@
 //! per core); `READDUO_RSS_CEILING_MB` overrides the ceiling (default
 //! 512 MB).
 
-use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness};
+use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
 use readduo_core::SchemeKind;
 use readduo_pool::Pool;
 use readduo_trace::Workload;
@@ -59,7 +59,9 @@ fn main() {
         let t = Instant::now();
         for &scheme in &schemes {
             let t1 = Instant::now();
-            let r = h.run_streamed(&mcf, scheme);
+            let r = h
+                .run(&mcf, &scheme.into(), Source::Stream)
+                .expect("a bare scheme is always a valid spec");
             eprintln!(
                 "  {:<12} {:>7.0} ms  exec {:>12} ns  {} reads / {} writes",
                 scheme.label(),

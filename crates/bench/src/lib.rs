@@ -27,10 +27,10 @@
 
 pub mod micro;
 
-use readduo_core::{EdapInputs, SchemeKind};
-use readduo_memsim::{MemoryConfig, SimReport, Simulator};
+use readduo_core::{DeviceHints, DeviceSpec, EdapInputs, SchemeKind, SpecError};
+use readduo_memsim::{DeviceModel, MemoryConfig, SimReport, Simulator};
 use readduo_pool::Pool;
-use readduo_trace::{Trace, TraceGenerator, TraceStream, Workload};
+use readduo_trace::{OpSource, Trace, TraceCursor, TraceGenerator, TraceStream, Workload};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -44,6 +44,17 @@ pub struct RunResult {
     pub scheme: SchemeKind,
     /// Full simulator report.
     pub report: SimReport,
+}
+
+/// Where a run's memory ops come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// Replay an already-generated trace.
+    Trace(&'a Trace),
+    /// Generate the workload's trace chunk by chunk while the engine
+    /// consumes it: peak memory stays bounded by `cores × READDUO_CHUNK`
+    /// records regardless of instruction count.
+    Stream,
 }
 
 /// Harness configuration.
@@ -97,323 +108,87 @@ impl Harness {
         TraceGenerator::new(self.seed).stream(workload, self.instructions_per_core, self.cores)
     }
 
-    /// Runs one scheme against an already-generated trace.
+    /// Runs one device spec over a workload: the one run path every run
+    /// takes. The spec is validated before anything is simulated.
     ///
     /// Single-channel topologies take the plain engine; multi-channel
     /// topologies shard across channels on the ambient pool
-    /// ([`Pool::from_env`]) — one [`TraceCursor`](readduo_trace::TraceCursor)
-    /// replay and one per-channel-seeded device per channel. Reports are
-    /// bit-for-bit independent of the thread count either way.
+    /// ([`Pool::from_env`]), one source replay and one per-channel device
+    /// per channel. Reports are bit-for-bit independent of the thread
+    /// count, and [`Source::Stream`] is bit-for-bit [`Source::Trace`] over
+    /// [`trace_for`]'s output (pinned by `tests/stream_equivalence.rs`).
+    ///
+    /// [`trace_for`]: Harness::trace_for
+    pub fn run(
+        &self,
+        workload: &Workload,
+        spec: &DeviceSpec,
+        source: Source<'_>,
+    ) -> Result<RunResult, SpecError> {
+        let pool = if self.memory.topology.channels > 1 {
+            Pool::from_env()
+        } else {
+            Pool::new(1)
+        };
+        self.run_on(&pool, workload, spec, source)
+    }
+
+    /// [`run`](Harness::run) with an explicit pool for the per-channel
+    /// fan-out; the pool only chooses the wall clock, never the report.
+    pub fn run_on(
+        &self,
+        pool: &Pool,
+        workload: &Workload,
+        spec: &DeviceSpec,
+        source: Source<'_>,
+    ) -> Result<RunResult, SpecError> {
+        spec.validate()?;
+        let (phase, label) = run_names(workload, spec, matches!(source, Source::Stream));
+        let _phase = readduo_telemetry::trace::phase(phase);
+        readduo_telemetry::trace::set_run_label(&label);
+        let seed = self.seed ^ workload.name.len() as u64;
+        // Lines below the warm boundary are in write steady state; the
+        // schemes treat them as recently written (pre-window).
+        let hints = DeviceHints {
+            warm_boundary: (workload.footprint_lines.max(16) as f64
+                * workload.locality.written_fraction) as u64,
+            footprint_lines: workload.footprint_lines,
+        };
+        let channels = self.memory.topology.channels;
+        let device = |ch| spec.build(seed, ch, channels, hints);
+        let sim = Simulator::new(self.memory);
+        let report = match source {
+            Source::Trace(trace) => simulate(&sim, pool, |_| TraceCursor::new(trace), device),
+            // Each channel re-generates the stream chunk by chunk and
+            // filters it to the lines it owns: peak memory stays bounded.
+            Source::Stream => simulate(&sim, pool, |_| self.stream_for(workload), device),
+        };
+        let result = RunResult {
+            workload: workload.name,
+            scheme: spec.scheme,
+            report,
+        };
+        publish_run_metrics(&result);
+        Ok(result)
+    }
+
+    /// Generates the workload's trace, then [`run`](Harness::run)s the spec
+    /// over it. The spec is validated before the trace is generated.
+    pub fn run_one(&self, workload: &Workload, spec: &DeviceSpec) -> Result<RunResult, SpecError> {
+        spec.validate()?;
+        self.run(workload, spec, Source::Trace(&self.trace_for(workload)))
+    }
+
+    /// [`run`](Harness::run) of the bare scheme over an already-generated
+    /// trace. Kept, with this signature, for the benchmark in `perfbench/`.
     pub fn run_on_trace(
         &self,
         workload: &Workload,
         trace: &Trace,
         scheme: SchemeKind,
     ) -> RunResult {
-        let _phase = readduo_telemetry::trace::phase(format!("sim/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme}", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(trace),
-                |ch| self.device_for_channel(workload, scheme, ch),
-            )
-        } else {
-            let mut device = self.device_for(workload, scheme);
-            sim.run(trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
-    }
-
-    /// Runs one scheme in streaming mode: the trace is generated chunk by
-    /// chunk while the engine consumes it, so peak memory stays bounded by
-    /// `cores × READDUO_CHUNK` records regardless of instruction count.
-    /// Bit-for-bit identical to [`run_on_trace`] over [`trace_for`]'s
-    /// output (pinned by `tests/stream_equivalence.rs`).
-    ///
-    /// [`run_on_trace`]: Harness::run_on_trace
-    /// [`trace_for`]: Harness::trace_for
-    pub fn run_streamed(&self, workload: &Workload, scheme: SchemeKind) -> RunResult {
-        self.run_streamed_on(&Pool::from_env(), workload, scheme)
-    }
-
-    /// [`run_streamed`] with an explicit pool for the per-channel fan-out.
-    /// Single-channel topologies ignore the pool (there is nothing to fan
-    /// out); multi-channel reports are bit-for-bit identical across pool
-    /// widths, so the pool only chooses the wall clock.
-    ///
-    /// [`run_streamed`]: Harness::run_streamed
-    pub fn run_streamed_on(
-        &self,
-        pool: &Pool,
-        workload: &Workload,
-        scheme: SchemeKind,
-    ) -> RunResult {
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-stream/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme}", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Each channel re-generates the stream chunk by chunk and
-            // filters it to the lines it owns: peak memory stays bounded
-            // and channel routing is stream-order-invariant by
-            // construction (the stream replays identically per channel).
-            sim.run_sharded(
-                pool,
-                |_ch| self.stream_for(workload),
-                |ch| self.device_for_channel(workload, scheme, ch),
-            )
-        } else {
-            let mut device = self.device_for(workload, scheme);
-            let mut stream = self.stream_for(workload);
-            sim.run_source(&mut stream, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
-    }
-
-    /// Builds a workload's device for `scheme`, seeded identically on the
-    /// materialised and streaming paths.
-    fn device_for(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-    ) -> Box<dyn readduo_memsim::DeviceModel> {
-        self.device_for_channel(workload, scheme, 0)
-    }
-
-    /// Builds one channel's device for `scheme`: the workload seed
-    /// decorrelated per channel. Channel 0 is exactly [`device_for`]'s
-    /// device, which keeps single-channel runs pinned to the pre-topology
-    /// reports.
-    ///
-    /// [`device_for`]: Harness::device_for
-    fn device_for_channel(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        channel: usize,
-    ) -> Box<dyn readduo_memsim::DeviceModel> {
-        // Lines below the warm boundary are in write steady state; the
-        // schemes treat them as recently written (pre-window).
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        scheme.build_for_channel(
-            self.seed ^ workload.name.len() as u64,
-            channel,
-            warm_boundary,
-            workload.footprint_lines,
-        )
-    }
-
-    /// Runs one (workload, scheme) pair.
-    ///
-    /// Thin wrapper over [`trace_for`] + [`run_on_trace`]; the trace is
-    /// built once, not once per scheme as the pre-pool harness did.
-    ///
-    /// [`trace_for`]: Harness::trace_for
-    /// [`run_on_trace`]: Harness::run_on_trace
-    pub fn run_one(&self, workload: &Workload, scheme: SchemeKind) -> RunResult {
-        let trace = self.trace_for(workload);
-        self.run_on_trace(workload, &trace, scheme)
-    }
-
-    /// Runs one (workload, scheme) pair with Monte-Carlo fault injection
-    /// attached: demand reads sample real error patterns, decode them with
-    /// BCH-8, and (for the ReadDuo schemes) escalate failed R-decodes to
-    /// M-reads with corrective rewrites. `fault_seed` drives the fault
-    /// stream independently of the harness seed. Returns `None` for
-    /// schemes without an injected read path (Ideal, M-metric, TLC).
-    pub fn run_one_faulty(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        fault_seed: u64,
-    ) -> Option<RunResult> {
-        // Same warm-boundary computation as `device_for`, so faulty runs
-        // are directly comparable with their fault-free counterparts.
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
-        let mut device =
-            scheme.build_faulty(seed, fault_seed, warm_boundary, workload.footprint_lines)?;
-        let trace = self.trace_for(workload);
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-faulty/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (faulty)", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Both the analytic and the fault RNG streams decorrelate per
-            // channel; channel 0 uses the run seeds unchanged.
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(&trace),
-                |ch| {
-                    scheme
-                        .build_faulty(
-                            readduo_core::channel_seed(seed, ch),
-                            readduo_core::channel_seed(fault_seed, ch),
-                            warm_boundary,
-                            workload.footprint_lines,
-                        )
-                        .expect("scheme probed fault-capable above")
-                },
-            )
-        } else {
-            sim.run(&trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        Some(result)
-    }
-
-    /// Runs one (workload, scheme) pair with fault injection *and* the
-    /// endurance model attached: programs age cells against `wear`'s
-    /// lognormal endurance draws, dead cells read back stuck-at through
-    /// the erasure-aware decode, and over-margin lines remap onto spares.
-    /// Returns `None` for the schemes [`run_one_faulty`] cannot inject.
-    ///
-    /// [`run_one_faulty`]: Harness::run_one_faulty
-    pub fn run_one_worn(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        fault_seed: u64,
-        wear: readduo_core::WearConfig,
-    ) -> Option<RunResult> {
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
-        let mut device =
-            scheme.build_worn(seed, fault_seed, wear, warm_boundary, workload.footprint_lines)?;
-        let trace = self.trace_for(workload);
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-worn/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (worn)", workload.name));
-        let sim = Simulator::new(self.memory);
-        let report = if self.memory.topology.channels > 1 {
-            // Analytic, fault and endurance streams all decorrelate per
-            // channel; channel 0 uses the run seeds unchanged. Each
-            // channel owns a full spare pool (sparing is per-channel
-            // hardware, not a global resource).
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(&trace),
-                |ch| {
-                    let ch_wear = readduo_core::WearConfig {
-                        seed: readduo_core::channel_seed(wear.seed, ch),
-                        ..wear
-                    };
-                    scheme
-                        .build_worn(
-                            readduo_core::channel_seed(seed, ch),
-                            readduo_core::channel_seed(fault_seed, ch),
-                            ch_wear,
-                            warm_boundary,
-                            workload.footprint_lines,
-                        )
-                        .expect("scheme probed wear-capable above")
-                },
-            )
-        } else {
-            sim.run(&trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        Some(result)
-    }
-
-    /// Runs one (workload, scheme) pair with the hybrid DRAM–PCM tier in
-    /// front of the scheme device: the hot working set migrates into DRAM
-    /// after `dram.threshold` misses, write hits are absorbed at DRAM
-    /// latency with zero PCM cells programmed, and dirty demotions
-    /// re-program the PCM line through the scheme's normal write path
-    /// (resetting its drift age and charging wear). A zero-capacity
-    /// `dram.lines` runs bit-for-bit the plain [`run_one`] path.
-    ///
-    /// [`run_one`]: Harness::run_one
-    pub fn run_one_tiered(
-        &self,
-        workload: &Workload,
-        scheme: SchemeKind,
-        dram: readduo_dram::DramConfig,
-    ) -> RunResult {
-        let trace = self.trace_for(workload);
-        self.run_tiered_on_trace(workload, &trace, scheme, dram)
-    }
-
-    /// [`run_one_tiered`] against an already-generated trace (matrix and
-    /// sweep callers build each workload's trace once and reuse it across
-    /// schemes and DRAM configurations).
-    ///
-    /// Sharded topologies give each channel its own DRAM slice
-    /// (`dram.lines / channels`) with the set-index hash seed
-    /// decorrelated via `channel_seed` — channel 0 of a single-channel
-    /// topology is bit-for-bit the unsharded tier.
-    ///
-    /// [`run_one_tiered`]: Harness::run_one_tiered
-    pub fn run_tiered_on_trace(
-        &self,
-        workload: &Workload,
-        trace: &Trace,
-        scheme: SchemeKind,
-        dram: readduo_dram::DramConfig,
-    ) -> RunResult {
-        let warm_boundary = (workload.footprint_lines.max(16) as f64
-            * workload.locality.written_fraction) as u64;
-        let seed = self.seed ^ workload.name.len() as u64;
-        let _phase =
-            readduo_telemetry::trace::phase(format!("sim-tiered/{}/{scheme}", workload.name));
-        readduo_telemetry::trace::set_run_label(&format!("{}/{scheme} (tiered)", workload.name));
-        let sim = Simulator::new(self.memory);
-        let channels = self.memory.topology.channels;
-        let report = if channels > 1 {
-            sim.run_sharded(
-                &Pool::from_env(),
-                |_ch| readduo_trace::TraceCursor::new(trace),
-                |ch| {
-                    scheme.build_tiered_for_channel(
-                        seed,
-                        ch,
-                        channels,
-                        dram,
-                        warm_boundary,
-                        workload.footprint_lines,
-                    )
-                },
-            )
-        } else {
-            let mut device =
-                scheme.build_tiered(seed, dram, warm_boundary, workload.footprint_lines);
-            sim.run(trace, device.as_mut())
-        };
-        let result = RunResult {
-            workload: workload.name,
-            scheme,
-            report,
-        };
-        publish_run_metrics(&result);
-        result
+        self.run(workload, &scheme.into(), Source::Trace(trace))
+            .expect("a bare scheme is always a valid spec")
     }
 
     /// Runs the full `schemes × workloads` matrix on the ambient pool
@@ -502,11 +277,12 @@ impl Harness {
         for w in workloads {
             if self.trace_estimate_bytes(w) <= budget {
                 let trace = self.trace_for(w);
-                out.extend(
-                    pool.map(schemes.to_vec(), |_, s| self.run_on_trace(w, &trace, s)),
-                );
+                out.extend(pool.map(schemes.to_vec(), |_, s| self.run_on_trace(w, &trace, s)));
             } else {
-                out.extend(pool.map(schemes.to_vec(), |_, s| self.run_streamed(w, s)));
+                out.extend(pool.map(schemes.to_vec(), |_, s| {
+                    self.run(w, &s.into(), Source::Stream)
+                        .expect("a bare scheme is always a valid spec")
+                }));
             }
         }
         out
@@ -549,6 +325,46 @@ impl Default for Harness {
     fn default() -> Self {
         Self::from_env()
     }
+}
+
+/// Runs every channel of `sim`'s topology: the plain engine for one
+/// channel, the sharded engine on `pool` otherwise.
+fn simulate<S: OpSource>(
+    sim: &Simulator,
+    pool: &Pool,
+    source: impl Fn(usize) -> S + Sync,
+    device: impl Fn(usize) -> Box<dyn DeviceModel> + Sync,
+) -> SimReport {
+    if sim.config().topology.channels > 1 {
+        sim.run_sharded(pool, source, device)
+    } else {
+        sim.run_source(&mut source(0), device(0).as_mut())
+    }
+}
+
+/// The telemetry phase and run label of one run, derived from its spec:
+/// `sim/…` for a bare scheme over a trace, `sim-stream/…` streamed, and
+/// one `-faulty`, `-worn` or `-tiered` suffix per layer (the run label
+/// names the layers in parentheses: `mcf/LWT-4 (worn+tiered)`).
+fn run_names(workload: &Workload, spec: &DeviceSpec, streamed: bool) -> (String, String) {
+    let layers: Vec<&str> = [
+        spec.wear.map(|_| "worn").or(spec.faults.map(|_| "faulty")),
+        spec.dram.map(|_| "tiered"),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let cell = format!("{}/{}", workload.name, spec.scheme);
+    let mut phase = String::from(if streamed { "sim-stream" } else { "sim" });
+    for layer in &layers {
+        phase = format!("{phase}-{layer}");
+    }
+    let label = if layers.is_empty() {
+        cell.clone()
+    } else {
+        format!("{cell} ({})", layers.join("+"))
+    };
+    (format!("{phase}/{cell}"), label)
 }
 
 /// Publishes one run's report into the telemetry metrics registry:
@@ -880,7 +696,7 @@ mod tests {
         // The thin wrapper and the pooled matrix path must agree exactly.
         let h = tiny_harness();
         let w = Workload::toy();
-        let lone = h.run_one(&w, SchemeKind::Ideal);
+        let lone = h.run_one(&w, &SchemeKind::Ideal.into()).unwrap();
         let matrix = h.run_matrix_on(
             &readduo_pool::Pool::new(2),
             &[SchemeKind::Ideal],
@@ -893,12 +709,36 @@ mod tests {
     fn faulty_runs_are_deterministic_and_gated() {
         let h = tiny_harness();
         let w = Workload::toy();
-        assert!(h.run_one_faulty(&w, SchemeKind::Ideal, 1).is_none());
-        assert!(h.run_one_faulty(&w, SchemeKind::MMetric, 1).is_none());
-        let a = h.run_one_faulty(&w, SchemeKind::Hybrid, 3).unwrap();
-        let b = h.run_one_faulty(&w, SchemeKind::Hybrid, 3).unwrap();
+        let faulty = |scheme: SchemeKind| DeviceSpec { faults: Some(3), ..scheme.into() };
+        for scheme in [SchemeKind::Ideal, SchemeKind::MMetric] {
+            let err = h.run_one(&w, &faulty(scheme)).expect_err("no injected read path");
+            assert_eq!(err.layer, "fault injection");
+        }
+        let a = h.run_one(&w, &faulty(SchemeKind::Hybrid)).unwrap();
+        let b = h.run(&w, &faulty(SchemeKind::Hybrid), Source::Stream).unwrap();
         assert_eq!(a.report, b.report);
         assert!(a.report.reads > 0);
+    }
+
+    #[test]
+    fn run_names_derive_from_the_spec() {
+        let w = Workload::toy();
+        let lwt = SchemeKind::Lwt { k: 4 };
+        let faulty = DeviceSpec { faults: Some(1), ..lwt.into() };
+        let worn = DeviceSpec { wear: Some(readduo_core::WearConfig::new(1)), ..faulty };
+        let dram = Some(readduo_dram::DramConfig::new(1, 64));
+        let names = |spec: DeviceSpec, streamed| run_names(&w, &spec, streamed);
+        let pair = |phase: &str, label: &str| (phase.to_string(), label.to_string());
+        assert_eq!(names(lwt.into(), false), pair("sim/toy/LWT-4", "toy/LWT-4"));
+        assert_eq!(names(lwt.into(), true), pair("sim-stream/toy/LWT-4", "toy/LWT-4"));
+        assert_eq!(names(faulty, false), pair("sim-faulty/toy/LWT-4", "toy/LWT-4 (faulty)"));
+        assert_eq!(names(worn, false), pair("sim-worn/toy/LWT-4", "toy/LWT-4 (worn)"));
+        let tiered = DeviceSpec { dram, ..lwt.into() };
+        assert_eq!(names(tiered, false), pair("sim-tiered/toy/LWT-4", "toy/LWT-4 (tiered)"));
+        assert_eq!(
+            names(DeviceSpec { dram, ..worn }, true),
+            pair("sim-stream-worn-tiered/toy/LWT-4", "toy/LWT-4 (worn+tiered)")
+        );
     }
 
     #[test]

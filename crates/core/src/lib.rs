@@ -23,6 +23,10 @@
 //! [`TlcScheme`] [26], and drift-free Ideal
 //! ([`readduo_memsim::FixedLatencyDevice::ideal`]).
 //!
+//! A device — a scheme plus optional fault-injection, wear and DRAM-tier
+//! layers — is described by a [`DeviceSpec`] and built, one channel at a
+//! time, by [`DeviceSpec::build`].
+//!
 //! The [`area`] and [`edap`] modules provide the density and
 //! Energy-Delay-Area-Product models of Figure 11 and Table VII.
 //!
@@ -62,8 +66,9 @@ pub use edap::EdapInputs;
 pub use fault::{FaultInjector, InjectedRead};
 pub use flags::LwtFlags;
 pub use linestate::{LineState, LineTable};
-pub use scheme::{channel_seed, SchemeKind};
+pub use scheme::{channel_seed, DeviceHints, DeviceSpec, SchemeKind, SpecError};
 pub use schemes::{
-    HybridScheme, LwtScheme, MMetricScheme, SchemeCounters, ScrubbingScheme, TlcScheme,
+    FaultCapable, HybridScheme, LineScheme, LwtScheme, MMetricScheme, SchemeCounters,
+    ScrubbingScheme, TlcScheme,
 };
 pub use wear::{WearConfig, WearTable};

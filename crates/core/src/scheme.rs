@@ -1,9 +1,14 @@
-//! Scheme factory: one enum naming every configuration the evaluation
-//! runs, with constructors and per-scheme storage costs.
+//! Device construction: [`SchemeKind`] names every readout scheme the
+//! evaluation runs, and [`DeviceSpec`] describes one device — a scheme
+//! plus the optional fault, wear and DRAM-tier layers — and builds it,
+//! channel by channel.
 
 use crate::area::LineStorage;
-use crate::schemes::{HybridScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme};
+use crate::schemes::{
+    FaultCapable, HybridScheme, LineScheme, LwtScheme, MMetricScheme, ScrubbingScheme, TlcScheme,
+};
 use crate::wear::WearConfig;
+use readduo_dram::{DramConfig, TieredDevice};
 use readduo_memsim::{DeviceModel, FixedLatencyDevice};
 
 /// Derives one channel's device seed from the run seed: channel 0 keeps
@@ -76,136 +81,45 @@ impl SchemeKind {
         }
     }
 
-    /// Builds the device model, seeding its RNG streams. Equivalent to
-    /// [`build_for`] with an empty warm region and no dense footprint.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
+    /// Builds the bare device model, seeding its RNG streams: the
+    /// single-channel [`DeviceSpec::build`] with no layers and no hints.
     pub fn build(&self, seed: u64) -> Box<dyn DeviceModel> {
-        self.build_for(seed, 0, 0)
+        DeviceSpec::from(*self).build(seed, 0, 1, DeviceHints::default())
     }
 
-    /// Builds the device model for a workload whose warm (actively
-    /// written) region spans lines `[0, warm_boundary)` — those lines
-    /// default to steady-state recent writes instead of ancient ones —
-    /// and whose footprint spans lines `[0, footprint_lines)`, stored
-    /// densely (direct-indexed) instead of hashed. Both regions only
-    /// affect performance/defaults, never which lines are representable:
-    /// `footprint_lines = 0` keeps everything in the hash tier.
+    /// Single-channel [`DeviceSpec::build`] of the bare scheme. Kept, with
+    /// this signature, for the benchmark in `perfbench/`.
     pub fn build_for(
         &self,
         seed: u64,
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Box<dyn DeviceModel> {
-        match *self {
-            SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
-            SchemeKind::Scrubbing => Box::new(
-                ScrubbingScheme::paper(seed)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::ScrubbingW0 => {
-                Box::new(ScrubbingScheme::paper_w0(seed).with_dense_region(footprint_lines))
-            }
-            SchemeKind::MMetric => Box::new(
-                MMetricScheme::paper(seed)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Hybrid => {
-                Box::new(HybridScheme::paper(seed).with_dense_region(footprint_lines))
-            }
-            SchemeKind::Lwt { k } => Box::new(
-                LwtScheme::paper(seed, k)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::LwtNoConversion { k } => Box::new(
-                LwtScheme::without_conversion(seed, k)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Select { k, s } => Box::new(
-                LwtScheme::select(seed, k, s)
-                    .with_warm_region(warm_boundary)
-                    .with_dense_region(footprint_lines),
-            ),
-            SchemeKind::Tlc => Box::new(TlcScheme::paper()),
-        }
+        DeviceSpec::from(*self)
+            .single_channel(seed, warm_boundary, footprint_lines)
+            .expect("a bare scheme is always a valid spec")
     }
 
-    /// Builds the device model for one channel of a sharded topology: the
-    /// same scheme construction with the run seed decorrelated per channel
-    /// via [`channel_seed`], so channels draw independent drift/noise
-    /// streams. Channel 0 uses the run seed unchanged — a single-channel
-    /// topology builds bit-for-bit the device [`build_for`] builds.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
-    pub fn build_for_channel(
-        &self,
-        seed: u64,
-        channel: usize,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Box<dyn DeviceModel> {
-        self.build_for(channel_seed(seed, channel), warm_boundary, footprint_lines)
-    }
-
-    /// Builds the device model with a hybrid DRAM–PCM migration tier in
-    /// front of it ([`readduo_dram::TieredDevice`]): the scheme device is
-    /// exactly what [`build_for`] builds, and a zero-capacity
-    /// `dram.lines` returns it bare — that is the "disabled tier == plain
-    /// run" bit-for-bit guarantee, in the same spirit as the fault and
-    /// wear subsystems. Every scheme is tierable: the tier is a decorator
-    /// over the device-model trait, not a per-scheme feature.
-    ///
-    /// [`build_for`]: SchemeKind::build_for
+    /// Single-channel [`DeviceSpec::build`] with a DRAM tier. Kept, with
+    /// this signature, for the benchmark in `perfbench/`.
     pub fn build_tiered(
         &self,
         seed: u64,
-        dram: readduo_dram::DramConfig,
+        dram: DramConfig,
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Box<dyn DeviceModel> {
-        self.build_tiered_for_channel(seed, 0, 1, dram, warm_boundary, footprint_lines)
-    }
-
-    /// [`build_tiered`] for one channel of a sharded topology: the scheme
-    /// seed decorrelates via [`channel_seed`] (like [`build_for_channel`])
-    /// and so does the tier's set-index hash seed; the DRAM capacity is
-    /// the per-channel slice of `dram.lines` over `channels`. Channel 0
-    /// of a single-channel topology builds bit-for-bit the device
-    /// [`build_tiered`] builds.
-    ///
-    /// [`build_tiered`]: SchemeKind::build_tiered
-    /// [`build_for_channel`]: SchemeKind::build_for_channel
-    pub fn build_tiered_for_channel(
-        &self,
-        seed: u64,
-        channel: usize,
-        channels: usize,
-        dram: readduo_dram::DramConfig,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Box<dyn DeviceModel> {
-        let inner = self.build_for_channel(seed, channel, warm_boundary, footprint_lines);
-        let cfg = readduo_dram::DramConfig {
-            seed: channel_seed(dram.seed, channel),
-            ..dram.sliced(channels)
+        let spec = DeviceSpec {
+            dram: Some(dram),
+            ..(*self).into()
         };
-        if cfg.lines == 0 {
-            inner
-        } else {
-            Box::new(readduo_dram::TieredDevice::new(inner, cfg).with_channel(channel))
-        }
+        spec.single_channel(seed, warm_boundary, footprint_lines)
+            .expect("a tier fits every scheme")
     }
 
-    /// Builds the device model with Monte-Carlo fault injection attached
-    /// (`fault_seed` drives the fault stream independently of the analytic
-    /// sampler's `seed`). Returns `None` for schemes without an injected
-    /// read path: Ideal and TLC are drift-free by construction, and
-    /// M-metric's direct M-reads never exercise the escalation chain the
-    /// injector models.
+    /// Single-channel [`DeviceSpec::build`] with fault injection; `None`
+    /// where [`DeviceSpec::validate`] rejects the spec. Kept, with this
+    /// signature, for the benchmark in `perfbench/`.
     pub fn build_faulty(
         &self,
         seed: u64,
@@ -213,15 +127,15 @@ impl SchemeKind {
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Option<Box<dyn DeviceModel>> {
-        self.build_faulty_inner(seed, fault_seed, None, warm_boundary, footprint_lines)
+        let spec = DeviceSpec {
+            faults: Some(fault_seed),
+            ..(*self).into()
+        };
+        spec.single_channel(seed, warm_boundary, footprint_lines)
     }
 
-    /// [`build_faulty`] plus the endurance model: cells age per program,
-    /// dead cells read back stuck-at (decoded with erasure hints), and
-    /// over-margin lines remap onto spares. Covers exactly the injectable
-    /// schemes — stuck bits only matter through the injected decode path.
-    ///
-    /// [`build_faulty`]: SchemeKind::build_faulty
+    /// [`build_faulty`](SchemeKind::build_faulty) plus the endurance
+    /// model. Kept, with this signature, for the benchmark in `perfbench/`.
     pub fn build_worn(
         &self,
         seed: u64,
@@ -230,83 +144,18 @@ impl SchemeKind {
         warm_boundary: u64,
         footprint_lines: u64,
     ) -> Option<Box<dyn DeviceModel>> {
-        self.build_faulty_inner(seed, fault_seed, Some(wear), warm_boundary, footprint_lines)
-    }
-
-    fn build_faulty_inner(
-        &self,
-        seed: u64,
-        fault_seed: u64,
-        wear: Option<WearConfig>,
-        warm_boundary: u64,
-        footprint_lines: u64,
-    ) -> Option<Box<dyn DeviceModel>> {
-        match *self {
-            SchemeKind::Scrubbing => {
-                let mut s = ScrubbingScheme::paper(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::ScrubbingW0 => {
-                let mut s = ScrubbingScheme::paper_w0(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(s.with_dense_region(footprint_lines)))
-            }
-            SchemeKind::Hybrid => {
-                let mut s = HybridScheme::paper(seed).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(s.with_dense_region(footprint_lines)))
-            }
-            SchemeKind::Lwt { k } => {
-                let mut s = LwtScheme::paper(seed, k).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::LwtNoConversion { k } => {
-                let mut s =
-                    LwtScheme::without_conversion(seed, k).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::Select { k, s: sw } => {
-                let mut s = LwtScheme::select(seed, k, sw).with_fault_injection(fault_seed);
-                if let Some(w) = wear {
-                    s = s.with_wear(w);
-                }
-                Some(Box::new(
-                    s.with_warm_region(warm_boundary)
-                        .with_dense_region(footprint_lines),
-                ))
-            }
-            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Tlc => None,
-        }
+        let spec = DeviceSpec {
+            faults: Some(fault_seed),
+            wear: Some(wear),
+            ..(*self).into()
+        };
+        spec.single_channel(seed, warm_boundary, footprint_lines)
     }
 
     /// Per-line storage cost for the area factor of EDAP.
     pub fn storage(&self) -> LineStorage {
         match *self {
-            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Hybrid => {
-                LineStorage::mlc_bch8()
-            }
+            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Hybrid => LineStorage::mlc_bch8(),
             SchemeKind::Scrubbing | SchemeKind::ScrubbingW0 => LineStorage::scrubbing(),
             SchemeKind::Lwt { k }
             | SchemeKind::LwtNoConversion { k }
@@ -320,6 +169,205 @@ impl std::fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.label())
     }
+}
+
+/// What a device build knows about the workload it will serve. Neither
+/// hint changes which lines are representable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceHints {
+    /// Lines `[0, warm_boundary)` are the workload's warm (actively
+    /// written) region: they default to steady-state recent writes
+    /// instead of ancient ones.
+    pub warm_boundary: u64,
+    /// About how many distinct lines the workload touches: pre-sizes the
+    /// line table ([`LineTable::reserve`](crate::LineTable::reserve)) and
+    /// never changes results.
+    pub footprint_lines: u64,
+}
+
+/// One device configuration: a readout scheme plus the optional layers
+/// over it. Every device a run simulates is described by one of these and
+/// built by [`DeviceSpec::build`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceSpec {
+    /// The readout scheme.
+    pub scheme: SchemeKind,
+    /// Monte-Carlo fault injection, seeded independently of the scheme's
+    /// analytic sampler: demand reads decode real error patterns.
+    pub faults: Option<u64>,
+    /// The endurance model: cells age per program, dead cells read back
+    /// stuck-at, and over-margin lines remap onto spares.
+    pub wear: Option<WearConfig>,
+    /// A hybrid DRAM–PCM migration tier in front of the device; `lines` is
+    /// the total over all channels, and zero lines means no tier.
+    pub dram: Option<DramConfig>,
+}
+
+impl From<SchemeKind> for DeviceSpec {
+    fn from(scheme: SchemeKind) -> Self {
+        Self {
+            scheme,
+            faults: None,
+            wear: None,
+            dram: None,
+        }
+    }
+}
+
+/// A device configuration that cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecError {
+    /// The scheme a layer was attached to.
+    pub scheme: SchemeKind,
+    /// The layer it cannot take.
+    pub layer: &'static str,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} cannot take {}: it has no injected read path (faults and wear \
+             need Scrubbing, Scrubbing-W0, Hybrid, LWT or Select)",
+            self.scheme, self.layer
+        )
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+impl DeviceSpec {
+    /// Checks that every layer fits the scheme. Faults and wear need an
+    /// injected read path: Ideal and TLC are drift-free by construction,
+    /// and M-metric's direct M-reads never exercise the escalation chain
+    /// the injector models.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let layer = match (self.faults, self.wear) {
+            (Some(_), _) => "fault injection",
+            (None, Some(_)) => "wear",
+            (None, None) => return Ok(()),
+        };
+        match self.scheme {
+            SchemeKind::Ideal | SchemeKind::MMetric | SchemeKind::Tlc => Err(SpecError {
+                scheme: self.scheme,
+                layer,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The device of a one-channel topology, or `None` where
+    /// [`validate`](DeviceSpec::validate) rejects the spec.
+    fn single_channel(
+        &self,
+        seed: u64,
+        warm_boundary: u64,
+        footprint_lines: u64,
+    ) -> Option<Box<dyn DeviceModel>> {
+        self.validate().ok()?;
+        let hints = DeviceHints {
+            warm_boundary,
+            footprint_lines,
+        };
+        Some(self.build(seed, 0, 1, hints))
+    }
+
+    /// Builds the device of channel `channel` in a `channels`-channel
+    /// topology. Layers stack scheme → faults and wear → DRAM tier, the
+    /// tier being a decorator over whatever the rest builds.
+    ///
+    /// Every seed — the scheme's `seed`, the fault seed, the wear seed and
+    /// the tier's set-hash seed — is decorrelated per channel through
+    /// [`channel_seed`], which is the identity on channel 0; the tier's
+    /// capacity is the channel's [`DramConfig::sliced`] share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`validate`](DeviceSpec::validate) rejects the spec.
+    pub fn build(
+        &self,
+        seed: u64,
+        channel: usize,
+        channels: usize,
+        hints: DeviceHints,
+    ) -> Box<dyn DeviceModel> {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        let seed = channel_seed(seed, channel);
+        let faults = self.faults.map(|s| channel_seed(s, channel));
+        let wear = self.wear.map(|w| WearConfig {
+            seed: channel_seed(w.seed, channel),
+            ..w
+        });
+        let DeviceHints {
+            warm_boundary: warm,
+            footprint_lines: lines,
+        } = hints;
+        let pcm: Box<dyn DeviceModel> = match self.scheme {
+            SchemeKind::Ideal => Box::new(FixedLatencyDevice::ideal()),
+            SchemeKind::Tlc => Box::new(TlcScheme::paper()),
+            SchemeKind::MMetric => Box::new(
+                MMetricScheme::paper(seed)
+                    .with_warm_region(warm)
+                    .reserve_lines(lines),
+            ),
+            SchemeKind::Scrubbing => {
+                layered(ScrubbingScheme::paper(seed), warm, lines, faults, wear)
+            }
+            // The `W = 0` schemes take no warm region: every line
+            // defaults to "written at its last scrub".
+            SchemeKind::ScrubbingW0 => {
+                layered(ScrubbingScheme::paper_w0(seed), 0, lines, faults, wear)
+            }
+            SchemeKind::Hybrid => layered(HybridScheme::paper(seed), 0, lines, faults, wear),
+            SchemeKind::Lwt { k } => layered(LwtScheme::paper(seed, k), warm, lines, faults, wear),
+            SchemeKind::LwtNoConversion { k } => layered(
+                LwtScheme::without_conversion(seed, k),
+                warm,
+                lines,
+                faults,
+                wear,
+            ),
+            SchemeKind::Select { k, s } => {
+                layered(LwtScheme::select(seed, k, s), warm, lines, faults, wear)
+            }
+        };
+        match self.dram {
+            Some(dram) if dram.lines > 0 => {
+                let cfg = DramConfig {
+                    seed: channel_seed(dram.seed, channel),
+                    ..dram.sliced(channels)
+                };
+                Box::new(TieredDevice::new(pcm, cfg).with_channel(channel))
+            }
+            _ => pcm,
+        }
+    }
+}
+
+/// A fault-capable scheme with its hints and optional layers attached.
+fn layered<P: FaultCapable>(
+    scheme: LineScheme<P>,
+    warm_boundary: u64,
+    lines: u64,
+    faults: Option<u64>,
+    wear: Option<WearConfig>,
+) -> Box<dyn DeviceModel>
+where
+    LineScheme<P>: DeviceModel + 'static,
+{
+    let mut s = scheme;
+    if let Some(seed) = faults {
+        s = s.with_fault_injection(seed);
+    }
+    if let Some(cfg) = wear {
+        s = s.with_wear(cfg);
+    }
+    // Layers before the capacity hint: the fault injector's decode tables
+    // are allocated before the line table grows, which keeps peak RSS
+    // lower (perfbench `fault_reads`).
+    Box::new(s.with_warm_region(warm_boundary).reserve_lines(lines))
 }
 
 #[cfg(test)]
@@ -374,6 +422,24 @@ mod tests {
         }
         for k in [SchemeKind::Ideal, SchemeKind::MMetric, SchemeKind::Tlc] {
             assert!(k.build_faulty(1, 2, 0, 0).is_none(), "{k}");
+            // Rejected up front, naming the scheme and the layer.
+            let worn = DeviceSpec {
+                wear: Some(WearConfig::new(3)),
+                ..k.into()
+            };
+            let err = worn.validate().expect_err("no injected read path");
+            assert_eq!(
+                err,
+                SpecError {
+                    scheme: k,
+                    layer: "wear"
+                }
+            );
+            assert!(
+                err.to_string()
+                    .starts_with(&format!("{k} cannot take wear")),
+                "{err}"
+            );
         }
     }
 

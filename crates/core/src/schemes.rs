@@ -5,27 +5,26 @@
 //! * [`HybridScheme`] — ReadDuo-Hybrid: R-read with BCH-decoupled fallback
 //!   to M-read, `(BCH=8, S=640 s, W=0)`,
 //! * [`LwtScheme`] — ReadDuo-LWT-k: Hybrid plus last-write tracking and
-//!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`,
-//! * [`SelectScheme`] — ReadDuo-Select-(k:s): LWT plus selective
+//!   R-M-read conversion, `(BCH=8, S=640 s, W=1)`; with
+//!   [`LwtScheme::select`] also ReadDuo-Select-(k:s), LWT plus selective
 //!   differential writes,
 //! * [`TlcScheme`] — the Tri-Level-Cell baseline [26] (no drift errors, no
 //!   scrubbing, lower density),
 //! * Ideal is [`readduo_memsim::FixedLatencyDevice::ideal`].
 //!
-//! All schemes implement [`DeviceModel`]; the simulator calls them per
-//! read/write/scrub with the simulated time in seconds.
+//! The four drift-tracking schemes are one [`LineScheme`] each: the shared
+//! per-line machinery (sampler, line table, cost models, the optional fault
+//! and wear layers) plus a policy that decides how a read, a write and a
+//! scrub go. All schemes implement [`DeviceModel`]; the simulator calls
+//! them per read/write/scrub with the simulated time in seconds.
 
-use crate::common::{
-    differential_write, full_line_write, DriftSampler, CORRECT_MAX, DETECT_MAX,
-};
+use crate::common::{differential_write, full_line_write, DriftSampler, CORRECT_MAX, DETECT_MAX};
 use crate::conversion::ConversionController;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, InjectedRead};
 use crate::flags::LwtFlags;
 use crate::linestate::LineTable;
 use crate::wear::{WearConfig, WearTable};
-use readduo_memsim::{
-    DeviceModel, EnergyModel, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome,
-};
+use readduo_memsim::{DeviceModel, EnergyModel, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome};
 use readduo_pcm::DeviceParams;
 
 /// Cold-line age assumed for `W = 1` policies at `S = 640 s`: M-metric
@@ -57,21 +56,272 @@ pub struct SchemeCounters {
 }
 
 // ---------------------------------------------------------------------
-// Scrubbing baseline (R-sensing).
+// Shared per-line machinery.
 // ---------------------------------------------------------------------
 
-/// Efficient scrubbing [2] with R-metric sensing.
+/// A drift-tracking scheme: the per-line state every scheme but TLC and
+/// Ideal shares, plus the policy `P` that decides how reads, writes and
+/// scrubs go. The builder methods that attach workload hints and the
+/// optional fault and wear layers are defined here, once for all schemes.
 #[derive(Debug, Clone)]
-pub struct ScrubbingScheme {
+pub struct LineScheme<P> {
     sampler: DriftSampler,
     table: LineTable,
     energy: EnergyModel,
     params: DeviceParams,
-    interval_s: f64,
-    w: u32,
     injector: Option<FaultInjector>,
     wear: Option<WearTable>,
     counters: SchemeCounters,
+    policy: P,
+}
+
+/// Policies with an injected read path — the only schemes fault injection
+/// and wear attach to (stuck bits only matter through the injected decode).
+pub trait FaultCapable {
+    /// Whether a failed R-decode retries as an M-read (the ReadDuo
+    /// schemes) or surfaces as detected-uncorrectable (the R-only
+    /// Scrubbing baseline, which has no M-sensing circuit).
+    const ESCALATES: bool;
+}
+
+impl<P> LineScheme<P> {
+    fn with_policy(seed: u64, table: LineTable, policy: P) -> Self {
+        Self {
+            sampler: DriftSampler::new(seed),
+            table,
+            energy: EnergyModel::paper(),
+            params: DeviceParams::paper(),
+            injector: None,
+            wear: None,
+            counters: SchemeCounters::default(),
+            policy,
+        }
+    }
+
+    /// Side counters.
+    pub fn counters(&self) -> SchemeCounters {
+        self.counters
+    }
+
+    /// Declares `[0, boundary)` the workload's warm region (see
+    /// [`LineTable::set_warm_region`]).
+    pub fn with_warm_region(mut self, boundary: u64) -> Self {
+        self.table.set_warm_region(boundary);
+        self
+    }
+
+    /// Capacity hint: the workload touches on the order of `lines`
+    /// distinct lines — normally its footprint (see [`LineTable::reserve`]).
+    pub fn reserve_lines(mut self, lines: u64) -> Self {
+        self.table.reserve(lines);
+        self
+    }
+
+    /// Overrides the cold-line age assumption — a validation/stress knob
+    /// (e.g. to exercise Hybrid's escalation band, which `W = 0` scrubbing
+    /// makes astronomically rare at natural ages). Rebuilds the line
+    /// table, so call it before the other builder methods.
+    pub fn with_cold_age(mut self, age_s: f64) -> Self {
+        self.table = LineTable::new(self.table.k(), self.table.scrub_interval_s(), age_s);
+        self
+    }
+
+    /// Seconds since `line`'s last full write.
+    fn age(&mut self, line: u64, now_s: f64) -> f64 {
+        let st = *self.table.get_mut(line, now_s);
+        self.table.full_write_age(&st, now_s)
+    }
+
+    /// An R-read that returned `drift_errors` wrong bits.
+    fn r_read(&self, drift_errors: u32) -> ReadOutcome {
+        ReadOutcome {
+            drift_errors,
+            ..ReadOutcome::basic(
+                self.params.timing.r_read_ns,
+                ReadMode::RRead,
+                self.energy.r_read_pj,
+            )
+        }
+    }
+
+    /// An R-M-read (R-sensing, then M-sensing of the same cells) whose M
+    /// pass returned `drift_errors` wrong bits.
+    fn rm_read(&self, drift_errors: u32) -> ReadOutcome {
+        ReadOutcome {
+            drift_errors,
+            ..ReadOutcome::basic(
+                self.params.escalation_read_ns,
+                ReadMode::RmRead,
+                self.energy.r_read_pj + self.energy.m_read_pj,
+            )
+        }
+    }
+
+    /// Programs `line` in full (plus `slc` LWT flag bits), charging wear
+    /// when the endurance model is attached.
+    fn program(&mut self, line: u64, slc: u32) -> WriteOutcome {
+        let mut out = full_line_write(&self.energy, &self.params.timing, slc);
+        self.wear_program(line, &mut out);
+        out
+    }
+
+    fn wear_program(&mut self, line: u64, out: &mut WriteOutcome) {
+        if let Some(w) = self.wear.as_mut() {
+            w.apply_program(line, &self.params, &self.energy, out);
+        }
+    }
+
+    /// A counted full-line write: restamps the line's full-write time,
+    /// marks LWT sub-interval `sub` written (`None` for untracked
+    /// schemes) and programs the line.
+    fn full_write(&mut self, line: u64, now_s: f64, sub: Option<u8>, slc: u32) -> WriteOutcome {
+        let st = self.table.get_mut(line, now_s);
+        st.last_full_write_s = now_s;
+        if let Some(s) = sub {
+            st.flags.on_write(s);
+        }
+        self.counters.full_writes += 1;
+        self.program(line, slc)
+    }
+
+    /// Dead cells of `line` (0 without the endurance model).
+    fn stuck_cells(&self, line: u64) -> u32 {
+        self.wear.as_ref().map_or(0, |w| w.stuck_cells(line))
+    }
+
+    /// Finishes a scrub visit of `line`: stamps the scan and, when
+    /// `rewrite`, restamps and reprograms the line (plus `slc` flag bits).
+    /// Dead cells shrink the correctable margin, so a line with `stuck`
+    /// cells pays the escalated scan latency instead of `scan_ns`.
+    fn scrub_visit(
+        &mut self,
+        line: u64,
+        now_s: f64,
+        rewrite: bool,
+        stuck: u32,
+        scan_ns: u64,
+        slc: u32,
+    ) -> ScrubOutcome {
+        let st = self.table.get_mut(line, now_s);
+        st.last_scrub_s = now_s;
+        if rewrite {
+            st.last_full_write_s = now_s;
+        }
+        ScrubOutcome {
+            read_latency_ns: if stuck > 0 {
+                self.params.escalation_read_ns
+            } else {
+                scan_ns
+            },
+            read_energy_pj: self.energy.scrub_scan_pj,
+            rewrite: rewrite.then(|| self.program(line, slc)),
+        }
+    }
+
+    /// One injected read of `line` aged `age` seconds — R-first, or a
+    /// direct M-read when `m_read` — or `None` without fault injection.
+    /// Wear-free lines take the plain path bit-for-bit; lines with dead
+    /// cells overlay their stuck bits and decode with erasure hints.
+    fn injected_read(&mut self, line: u64, age: f64, m_read: bool) -> Option<InjectedRead> {
+        let inj = self.injector.as_mut()?;
+        let (stuck_wrong, erased) = match self.wear.as_mut() {
+            Some(w) => w.stuck_read(line),
+            None => (&[][..], &[][..]),
+        };
+        Some(match (m_read, erased.is_empty()) {
+            (false, true) => inj.read_at(age),
+            (false, false) => inj.read_at_stuck(age, stuck_wrong, erased),
+            (true, true) => inj.read_m_at(age),
+            (true, false) => inj.read_m_at_stuck(age, stuck_wrong, erased),
+        })
+    }
+
+    /// Copies an injected read's decode results onto `out`.
+    fn decoded(&mut self, mut out: ReadOutcome, r: &InjectedRead) -> ReadOutcome {
+        if r.detected_uncorrectable {
+            self.counters.uncorrectable_reads += 1;
+        }
+        out.ecc_corrected_bits = r.corrected_bits;
+        out.detected_uncorrectable = r.detected_uncorrectable;
+        out.silent_corruption = r.silent_corruption;
+        out.stuck_bits = r.stuck_bits;
+        out
+    }
+
+    /// The outcome of an injected R-first read: error patterns come from
+    /// the fault model and band membership from actual BCH decoding. The
+    /// caller schedules the corrective rewrite `r.needs_rewrite` asks for.
+    fn injected_outcome(&mut self, r: &InjectedRead) -> ReadOutcome {
+        let out = if r.escalated {
+            self.counters.rm_reads += 1;
+            self.rm_read(r.m_errors)
+        } else {
+            self.r_read(r.r_errors)
+        };
+        self.decoded(out, r)
+    }
+
+    /// The analytic three-band read path of Hybrid and the LWT schemes.
+    fn banded_read(&mut self, age: f64) -> ReadOutcome {
+        let errors = self.sampler.bit_errors_r(age);
+        if errors <= CORRECT_MAX {
+            self.r_read(errors)
+        } else if errors <= DETECT_MAX {
+            // Detected but uncorrectable under R: retry with M-sensing.
+            self.counters.rm_reads += 1;
+            let m_errors = self.sampler.bit_errors_m(age);
+            self.rm_read(m_errors)
+        } else {
+            // Beyond detection: the data goes back uncorrected.
+            self.counters.uncorrectable_reads += 1;
+            self.r_read(errors)
+        }
+    }
+}
+
+impl<P: FaultCapable> LineScheme<P> {
+    /// Attaches Monte-Carlo fault injection (`seed` drives the fault stream
+    /// independently of the analytic sampler): demand reads sample real
+    /// error patterns and decode them with BCH-8. The ReadDuo schemes
+    /// escalate failed R-decodes to M-reads, and an escalated read that
+    /// survived through ECC schedules a corrective rewrite; LWT's
+    /// untracked reads sample the direct M-read pattern. The R-only
+    /// baseline surfaces failed decodes as detected-uncorrectable.
+    pub fn with_fault_injection(mut self, seed: u64) -> Self {
+        self.injector = Some(FaultInjector::new(seed, P::ESCALATES));
+        self
+    }
+
+    /// Attaches the endurance model: every program ages the line's cells,
+    /// dead cells read back stuck-at, and lines whose dead-cell count
+    /// exceeds the margin remap onto spares (see [`WearTable`]).
+    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
+        self.wear = Some(WearTable::new(cfg));
+        self
+    }
+
+    /// The endurance state, when wear modelling is enabled.
+    pub fn wear(&self) -> Option<&WearTable> {
+        self.wear.as_ref()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scrubbing baseline (R-sensing).
+// ---------------------------------------------------------------------
+
+/// Efficient scrubbing [2]'s policy: R-metric sensing, rewrite a scanned
+/// line once it shows `w` errors (`w = 0`: always).
+#[derive(Debug, Clone)]
+pub struct ScrubbingPolicy {
+    w: u32,
+}
+
+/// Efficient scrubbing [2] with R-metric sensing.
+pub type ScrubbingScheme = LineScheme<ScrubbingPolicy>;
+
+impl FaultCapable for ScrubbingPolicy {
+    const ESCALATES: bool = false;
 }
 
 impl ScrubbingScheme {
@@ -93,145 +343,41 @@ impl ScrubbingScheme {
         } else {
             LineTable::new(2, interval_s, COLD_AGE_SCRUBBED_S)
         };
-        Self {
-            sampler: DriftSampler::new(seed),
-            table,
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s,
-            w,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
-    }
-
-    /// Attaches Monte-Carlo fault injection to demand reads. The baseline
-    /// has only R-sensing, so failed decodes surface as
-    /// detected-uncorrectable instead of escalating.
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, false));
-        self
-    }
-
-    /// Attaches the endurance model: every program ages the line's cells,
-    /// dead cells read back stuck-at, and lines whose dead-cell count
-    /// exceeds the margin remap onto spares (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Overrides the cold-line age assumption — a validation/stress knob
-    /// that rebuilds the line table, so call it before the region setters.
-    pub fn with_cold_age(mut self, age_s: f64) -> Self {
-        self.table = LineTable::new(2, self.interval_s, age_s);
-        self
+        Self::with_policy(seed, table, ScrubbingPolicy { w })
     }
 }
 
 impl DeviceModel for ScrubbingScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        if let Some(inj) = self.injector.as_mut() {
-            let (stuck_wrong, erased) = match self.wear.as_mut() {
-                Some(w) => w.stuck_read(line),
-                None => (&[][..], &[][..]),
-            };
-            let r = if erased.is_empty() {
-                inj.read_at(age)
-            } else {
-                inj.read_at_stuck(age, stuck_wrong, erased)
-            };
-            if r.detected_uncorrectable {
-                self.counters.uncorrectable_reads += 1;
-            }
-            return ReadOutcome {
-                drift_errors: r.r_errors,
-                ecc_corrected_bits: r.corrected_bits,
-                detected_uncorrectable: r.detected_uncorrectable,
-                silent_corruption: r.silent_corruption,
-                stuck_bits: r.stuck_bits,
-                ..ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
-            };
+        let age = self.age(line, now_s);
+        if let Some(r) = self.injected_read(line, age, false) {
+            return self.injected_outcome(&r);
         }
         let errors = self.sampler.bit_errors_r(age);
         if errors > DETECT_MAX {
             self.counters.uncorrectable_reads += 1;
         }
-        ReadOutcome {
-            drift_errors: errors,
-            ..ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
-        }
+        self.r_read(errors)
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.full_write(line, now_s, None, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_r(age);
-        // Dead cells shrink the correctable margin: a line with stuck bits
-        // escalates its scan and is rewritten unconditionally so the spare
-        // machinery gets a chance to remap it.
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
-        let rewrite = self.w == 0 || errors >= self.w || stuck > 0;
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        let mut rw = rewrite.then(|| full_line_write(&self.energy, &self.params.timing, 0));
-        if let (Some(w), Some(out)) = (self.wear.as_mut(), rw.as_mut()) {
-            w.apply_program(line, &self.params, &self.energy, out);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.r_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rw,
-        }
+        // A line with stuck bits escalates its scan and is rewritten
+        // unconditionally so the spare machinery gets a chance to remap it.
+        let stuck = self.stuck_cells(line);
+        let w = self.policy.w;
+        let rewrite = w == 0 || errors >= w || stuck > 0;
+        let scan_ns = self.params.timing.r_read_ns;
+        self.scrub_visit(line, now_s, rewrite, stuck, scan_ns, 0)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -243,87 +389,51 @@ impl DeviceModel for ScrubbingScheme {
 // M-metric baseline.
 // ---------------------------------------------------------------------
 
-/// M-metric-only sensing with `(BCH=8, S=640, W=1)`.
+/// The M-metric baseline's policy: M-sensing only, `W = 1` scrubbing.
 #[derive(Debug, Clone)]
-pub struct MMetricScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
-    counters: SchemeCounters,
-}
+pub struct MMetricPolicy;
+
+/// M-metric-only sensing with `(BCH=8, S=640, W=1)`.
+pub type MMetricScheme = LineScheme<MMetricPolicy>;
 
 impl MMetricScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(2, 640.0, COLD_AGE_LONG_S),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
+        Self::with_policy(
+            seed,
+            LineTable::new(2, 640.0, COLD_AGE_LONG_S),
+            MMetricPolicy,
+        )
     }
 }
 
 impl DeviceModel for MMetricScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_m(age);
         ReadOutcome {
             drift_errors: errors,
-            ..ReadOutcome::basic(self.params.timing.m_read_ns, ReadMode::MRead, self.energy.m_read_pj)
+            ..ReadOutcome::basic(
+                self.params.timing.m_read_ns,
+                ReadMode::MRead,
+                self.energy.m_read_pj,
+            )
         }
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        self.counters.full_writes += 1;
-        full_line_write(&self.energy, &self.params.timing, 0)
+        self.full_write(line, now_s, None, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        let errors = self.sampler.bit_errors_m(age);
-        let rewrite = errors >= 1;
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        ScrubOutcome {
-            read_latency_ns: self.params.timing.m_read_ns,
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rewrite.then(|| full_line_write(&self.energy, &self.params.timing, 0)),
-        }
+        let age = self.age(line, now_s);
+        let rewrite = self.sampler.bit_errors_m(age) >= 1;
+        let scan_ns = self.params.timing.m_read_ns;
+        self.scrub_visit(line, now_s, rewrite, 0, scan_ns, 0)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -335,236 +445,56 @@ impl DeviceModel for MMetricScheme {
 // ReadDuo-Hybrid.
 // ---------------------------------------------------------------------
 
+/// ReadDuo-Hybrid's policy: fast R-read, decoupled BCH detection, M-read
+/// fallback, and `W = 0` M-scrubbing.
+#[derive(Debug, Clone)]
+pub struct HybridPolicy;
+
 /// ReadDuo-Hybrid: fast R-read, decoupled BCH detection, M-read fallback;
 /// `(BCH=8, S=640, W=0)` scrubbing keeps every line young enough for
 /// R-sensing.
-#[derive(Debug, Clone)]
-pub struct HybridScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
-    injector: Option<FaultInjector>,
-    wear: Option<WearTable>,
-    counters: SchemeCounters,
+pub type HybridScheme = LineScheme<HybridPolicy>;
+
+impl FaultCapable for HybridPolicy {
+    const ESCALATES: bool = true;
 }
 
 impl HybridScheme {
     /// The paper's configuration.
     pub fn paper(seed: u64) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub(),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
-    }
-
-    /// Attaches Monte-Carlo fault injection: demand reads sample real
-    /// error patterns, decode them with BCH-8, and escalate failed
-    /// R-decodes to M-reads; an escalated read that survived through ECC
-    /// schedules a corrective rewrite.
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, true));
-        self
-    }
-
-    /// Attaches the endurance model (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Overrides the cold-line age assumption — a validation/stress knob
-    /// (e.g. to exercise the escalation band, which `W = 0` scrubbing
-    /// makes astronomically rare at natural ages). Rebuilds the line
-    /// table, so call it before the region setters.
-    pub fn with_cold_age(mut self, age_s: f64) -> Self {
-        self.table = LineTable::new(2, self.interval_s, age_s);
-        self
-    }
-
-    /// The three-band read path shared with the LWT schemes.
-    fn banded_read(
-        sampler: &mut DriftSampler,
-        energy: &EnergyModel,
-        params: &DeviceParams,
-        counters: &mut SchemeCounters,
-        age: f64,
-    ) -> ReadOutcome {
-        let timing = &params.timing;
-        let errors = sampler.bit_errors_r(age);
-        if errors <= CORRECT_MAX {
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        } else if errors <= DETECT_MAX {
-            // Detected but uncorrectable under R: retry with M-sensing.
-            counters.rm_reads += 1;
-            let m_errors = sampler.bit_errors_m(age);
-            ReadOutcome {
-                drift_errors: m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
-        } else {
-            // Beyond detection: the data goes back uncorrected.
-            counters.uncorrectable_reads += 1;
-            ReadOutcome {
-                drift_errors: errors,
-                ..ReadOutcome::basic(timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        }
-    }
-
-    /// The injected counterpart of [`Self::banded_read`]: error patterns
-    /// come from the fault model and band membership from actual BCH
-    /// decoding. Returns the outcome (without corrective traffic) and
-    /// whether the caller must schedule a corrective rewrite.
-    fn injected_banded_read(
-        injector: &mut FaultInjector,
-        energy: &EnergyModel,
-        params: &DeviceParams,
-        counters: &mut SchemeCounters,
-        age: f64,
-        stuck_wrong: &[u16],
-        erased: &[u16],
-    ) -> (ReadOutcome, bool) {
-        // Wear-free lines take the plain path bit-for-bit; lines with dead
-        // cells overlay their stuck bits and decode with erasure hints.
-        let r = if erased.is_empty() {
-            injector.read_at(age)
-        } else {
-            injector.read_at_stuck(age, stuck_wrong, erased)
-        };
-        if r.detected_uncorrectable {
-            counters.uncorrectable_reads += 1;
-        }
-        let mut out = if r.escalated {
-            counters.rm_reads += 1;
-            ReadOutcome {
-                drift_errors: r.m_errors,
-                ..ReadOutcome::basic(
-                    params.escalation_read_ns,
-                    ReadMode::RmRead,
-                    energy.r_read_pj + energy.m_read_pj,
-                )
-            }
-        } else {
-            ReadOutcome {
-                drift_errors: r.r_errors,
-                ..ReadOutcome::basic(params.timing.r_read_ns, ReadMode::RRead, energy.r_read_pj)
-            }
-        };
-        out.ecc_corrected_bits = r.corrected_bits;
-        out.detected_uncorrectable = r.detected_uncorrectable;
-        out.silent_corruption = r.silent_corruption;
-        out.stuck_bits = r.stuck_bits;
-        (out, r.needs_rewrite)
+        let table = LineTable::new(2, 640.0, 0.0).with_cold_writes_at_scrub();
+        Self::with_policy(seed, table, HybridPolicy)
     }
 }
 
 impl DeviceModel for HybridScheme {
     fn on_read(&mut self, line: u64, now_s: f64) -> ReadOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
-        if let Some(inj) = self.injector.as_mut() {
-            let (stuck_wrong, erased) = match self.wear.as_mut() {
-                Some(w) => w.stuck_read(line),
-                None => (&[][..], &[][..]),
-            };
-            let (mut out, needs_rewrite) = Self::injected_banded_read(
-                inj,
-                &self.energy,
-                &self.params,
-                &mut self.counters,
-                age,
-                stuck_wrong,
-                erased,
-            );
-            if needs_rewrite {
+        let age = self.age(line, now_s);
+        if let Some(r) = self.injected_read(line, age, false) {
+            let mut out = self.injected_outcome(&r);
+            if r.needs_rewrite {
                 // The line is only readable through escalation: rewrite it
                 // so it re-enters the fast R-readable population.
-                let st = self.table.get_mut(line, now_s);
-                st.last_full_write_s = now_s;
-                self.counters.full_writes += 1;
-                let mut rw = full_line_write(&self.energy, &self.params.timing, 0);
-                if let Some(w) = self.wear.as_mut() {
-                    w.apply_program(line, &self.params, &self.energy, &mut rw);
-                }
-                out.corrective = Some(rw);
+                out.corrective = Some(self.full_write(line, now_s, None, 0));
             }
             return out;
         }
-        Self::banded_read(
-            &mut self.sampler,
-            &self.energy,
-            &self.params,
-            &mut self.counters,
-            age,
-        )
+        self.banded_read(age)
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.full_write(line, now_s, None, 0)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
         // W = 0: scan with M (the reliable metric), rewrite unconditionally.
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        st.last_full_write_s = now_s;
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
-        let mut rw = full_line_write(&self.energy, &self.params.timing, 0);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut rw);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.m_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: Some(rw),
-        }
+        let stuck = self.stuck_cells(line);
+        let scan_ns = self.params.timing.m_read_ns;
+        self.scrub_visit(line, now_s, true, stuck, scan_ns, 0)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -576,34 +506,35 @@ impl DeviceModel for HybridScheme {
 // ReadDuo-LWT-k (and Select-(k:s) on top).
 // ---------------------------------------------------------------------
 
-/// ReadDuo-LWT-k: last-write tracking over `k` sub-intervals, `W = 1`
-/// M-scrubbing, and dynamic R-M-read conversion.
+/// ReadDuo-LWT-k's policy: last-write tracking over `k` sub-intervals,
+/// `W = 1` M-scrubbing, dynamic R-M-read conversion, and (Select) a
+/// differential-write window.
 #[derive(Debug, Clone)]
-pub struct LwtScheme {
-    sampler: DriftSampler,
-    table: LineTable,
-    energy: EnergyModel,
-    params: DeviceParams,
-    interval_s: f64,
+pub struct LwtPolicy {
     k: u8,
     controller: ConversionController,
     conversion_enabled: bool,
     /// Select-(k:s) window in sub-intervals; 0 disables SDW (plain LWT).
     sdw_window: u8,
-    injector: Option<FaultInjector>,
-    wear: Option<WearTable>,
-    counters: SchemeCounters,
+}
+
+/// ReadDuo-LWT-k: last-write tracking over `k` sub-intervals, `W = 1`
+/// M-scrubbing, and dynamic R-M-read conversion.
+pub type LwtScheme = LineScheme<LwtPolicy>;
+
+impl FaultCapable for LwtPolicy {
+    const ESCALATES: bool = true;
 }
 
 impl LwtScheme {
     /// ReadDuo-LWT-k as evaluated (`k = 4` in the headline results).
     pub fn paper(seed: u64, k: u8) -> Self {
-        Self::build(seed, k, 0, true)
+        Self::lwt(seed, k, 0, true)
     }
 
     /// LWT-k with R-M-read conversion disabled (Figure 14's ablation).
     pub fn without_conversion(seed: u64, k: u8) -> Self {
-        Self::build(seed, k, 0, false)
+        Self::lwt(seed, k, 0, false)
     }
 
     /// ReadDuo-Select-(k:s): LWT-k plus selective differential writes with
@@ -617,72 +548,33 @@ impl LwtScheme {
             sdw_window >= 1 && sdw_window <= k,
             "Select window must be in 1..=k, got {sdw_window}"
         );
-        Self::build(seed, k, sdw_window, true)
+        Self::lwt(seed, k, sdw_window, true)
     }
 
-    fn build(seed: u64, k: u8, sdw_window: u8, conversion: bool) -> Self {
-        Self {
-            sampler: DriftSampler::new(seed),
-            table: LineTable::new(k, 640.0, COLD_AGE_LONG_S),
-            energy: EnergyModel::paper(),
-            params: DeviceParams::paper(),
-            interval_s: 640.0,
+    fn lwt(seed: u64, k: u8, sdw_window: u8, conversion: bool) -> Self {
+        let policy = LwtPolicy {
             k,
             controller: ConversionController::paper(),
             conversion_enabled: conversion,
             sdw_window,
-            injector: None,
-            wear: None,
-            counters: SchemeCounters::default(),
-        }
-    }
-
-    /// Attaches Monte-Carlo fault injection: tracked reads run the
-    /// injected R→M escalation chain; untracked reads sample the direct
-    /// M-read pattern (conversion decisions are untouched).
-    pub fn with_fault_injection(mut self, seed: u64) -> Self {
-        self.injector = Some(FaultInjector::new(seed, true));
-        self
-    }
-
-    /// Attaches the endurance model (see [`WearTable`]).
-    pub fn with_wear(mut self, cfg: WearConfig) -> Self {
-        self.wear = Some(WearTable::new(cfg));
-        self
-    }
-
-    /// The endurance state, when wear modelling is enabled.
-    pub fn wear(&self) -> Option<&WearTable> {
-        self.wear.as_ref()
-    }
-
-    /// Side counters.
-    pub fn counters(&self) -> SchemeCounters {
-        self.counters
+        };
+        Self::with_policy(seed, LineTable::new(k, 640.0, COLD_AGE_LONG_S), policy)
     }
 
     /// Number of sub-intervals `k`.
     pub fn k(&self) -> u8 {
-        self.k
+        self.policy.k
     }
 
     /// Current dynamic conversion percentage `T`.
     pub fn t_percent(&self) -> u32 {
-        self.controller.t_percent()
+        self.policy.controller.t_percent()
     }
 
-    /// Declares `[0, boundary)` the workload's warm region (see
-    /// [`LineTable::set_warm_region`]).
-    pub fn with_warm_region(mut self, boundary: u64) -> Self {
-        self.table.set_warm_region(boundary);
-        self
-    }
-
-    /// Declares `[0, lines)` the dense-storage region — normally the
-    /// workload footprint (see [`LineTable::set_dense_region`]).
-    pub fn with_dense_region(mut self, lines: u64) -> Self {
-        self.table.set_dense_region(lines);
-        self
+    /// A full-line write that re-tracks the line in sub-interval `sub`.
+    fn tracked_write(&mut self, line: u64, now_s: f64, sub: Option<u8>) -> WriteOutcome {
+        let slc = LwtFlags::storage_bits(self.policy.k);
+        self.full_write(line, now_s, sub, slc)
     }
 }
 
@@ -691,119 +583,54 @@ impl DeviceModel for LwtScheme {
         let st = *self.table.get_mut(line, now_s);
         let sub = self.table.sub_interval(&st, now_s);
         let allows_r = sub.is_some_and(|s| st.flags.read_allows_r(s));
-        self.controller.observe_read(!allows_r);
+        self.policy.controller.observe_read(!allows_r);
+        let age = self.table.full_write_age(&st, now_s);
         if allows_r {
-            let age = self.table.full_write_age(&st, now_s);
-            if let Some(inj) = self.injector.as_mut() {
-                let (stuck_wrong, erased) = match self.wear.as_mut() {
-                    Some(w) => w.stuck_read(line),
-                    None => (&[][..], &[][..]),
-                };
-                let (mut out, needs_rewrite) = HybridScheme::injected_banded_read(
-                    inj,
-                    &self.energy,
-                    &self.params,
-                    &mut self.counters,
-                    age,
-                    stuck_wrong,
-                    erased,
-                );
-                if needs_rewrite {
-                    let slc = LwtFlags::storage_bits(self.k);
-                    let st = self.table.get_mut(line, now_s);
-                    st.last_full_write_s = now_s;
-                    if let Some(s) = sub {
-                        st.flags.on_write(s);
-                    }
-                    self.counters.full_writes += 1;
-                    let mut rw = full_line_write(&self.energy, &self.params.timing, slc);
-                    if let Some(w) = self.wear.as_mut() {
-                        w.apply_program(line, &self.params, &self.energy, &mut rw);
-                    }
-                    out.corrective = Some(rw);
+            if let Some(r) = self.injected_read(line, age, false) {
+                let mut out = self.injected_outcome(&r);
+                if r.needs_rewrite {
+                    out.corrective = Some(self.tracked_write(line, now_s, sub));
                 }
                 return out;
             }
-            return HybridScheme::banded_read(
-                &mut self.sampler,
-                &self.energy,
-                &self.params,
-                &mut self.counters,
-                age,
-            );
+            return self.banded_read(age);
         }
         // Un-tracked: R-sensing aborted after the flag check, M-sensing
         // reissued — an R-M-read.
         self.counters.rm_reads += 1;
-        let age = self.table.full_write_age(&st, now_s);
-        let injected = match (self.injector.as_mut(), self.wear.as_mut()) {
-            (Some(inj), Some(w)) => {
-                let (stuck_wrong, erased) = w.stuck_read(line);
-                Some(if erased.is_empty() {
-                    inj.read_m_at(age)
-                } else {
-                    inj.read_m_at_stuck(age, stuck_wrong, erased)
-                })
-            }
-            (Some(inj), None) => Some(inj.read_m_at(age)),
-            (None, _) => None,
-        };
-        let errors = match injected {
+        let injected = self.injected_read(line, age, true);
+        let errors = match &injected {
             Some(r) => r.m_errors,
             None => self.sampler.bit_errors_m(age),
         };
-        let convert = self.conversion_enabled
-            && self.controller.should_convert(self.counters.rm_reads);
-        let conversion = if convert {
-            // The redundant write re-tracks the line: the conversion is a
-            // full-line write even under Select (it is the only write in
-            // the window).
-            let slc = LwtFlags::storage_bits(self.k);
-            let st = self.table.get_mut(line, now_s);
-            st.last_full_write_s = now_s;
-            if let Some(s) = sub {
-                st.flags.on_write(s);
-            }
-            self.counters.full_writes += 1;
-            let mut cw = full_line_write(&self.energy, &self.params.timing, slc);
-            if let Some(w) = self.wear.as_mut() {
-                w.apply_program(line, &self.params, &self.energy, &mut cw);
-            }
-            Some(cw)
-        } else {
-            None
-        };
-        let mut out = ReadOutcome {
+        let convert = self.policy.conversion_enabled
+            && self
+                .policy
+                .controller
+                .should_convert(self.counters.rm_reads);
+        // The redundant write re-tracks the line: the conversion is a
+        // full-line write even under Select (it is the only write in the
+        // window).
+        let conversion = convert.then(|| self.tracked_write(line, now_s, sub));
+        let out = ReadOutcome {
             conversion,
             untracked: true,
-            drift_errors: errors,
-            ..ReadOutcome::basic(
-                self.params.escalation_read_ns,
-                ReadMode::RmRead,
-                self.energy.r_read_pj + self.energy.m_read_pj,
-            )
+            ..self.rm_read(errors)
         };
-        if let Some(r) = injected {
-            out.ecc_corrected_bits = r.corrected_bits;
-            out.detected_uncorrectable = r.detected_uncorrectable;
-            out.silent_corruption = r.silent_corruption;
-            out.stuck_bits = r.stuck_bits;
-            if r.detected_uncorrectable {
-                self.counters.uncorrectable_reads += 1;
-            }
+        match injected {
+            Some(r) => self.decoded(out, &r),
+            None => out,
         }
-        out
     }
 
     fn on_write(&mut self, line: u64, now_s: f64) -> WriteOutcome {
-        let slc = LwtFlags::storage_bits(self.k);
         let st = *self.table.get_mut(line, now_s);
         let sub = self.table.sub_interval(&st, now_s);
         // Select-(k:s): differential write when the last full-line write is
         // within `s` sub-intervals; the index-flag (conservatively, the
         // recorded full-write time) measures that distance.
-        if self.sdw_window > 0 {
-            let window_s = self.sdw_window as f64 * self.table.sub_len_s();
+        if self.policy.sdw_window > 0 {
+            let window_s = self.policy.sdw_window as f64 * self.table.sub_len_s();
             let full_age = self.table.full_write_age(&st, now_s);
             if full_age < window_s {
                 // Differential write: only modified cells; flags are NOT
@@ -812,57 +639,28 @@ impl DeviceModel for LwtScheme {
                 self.counters.differential_writes += 1;
                 let cells = self.sampler.differential_write_cells();
                 let mut out = differential_write(&self.energy, &self.params.timing, cells);
-                if let Some(w) = self.wear.as_mut() {
-                    w.apply_program(line, &self.params, &self.energy, &mut out);
-                }
+                self.wear_program(line, &mut out);
                 return out;
             }
         }
-        let st = self.table.get_mut(line, now_s);
-        st.last_full_write_s = now_s;
-        if let Some(s) = sub {
-            st.flags.on_write(s);
-        }
-        self.counters.full_writes += 1;
-        let mut out = full_line_write(&self.energy, &self.params.timing, slc);
-        if let Some(w) = self.wear.as_mut() {
-            w.apply_program(line, &self.params, &self.energy, &mut out);
-        }
-        out
+        self.tracked_write(line, now_s, sub)
     }
 
     fn on_scrub(&mut self, line: u64, now_s: f64) -> ScrubOutcome {
-        let st = *self.table.get_mut(line, now_s);
-        let age = self.table.full_write_age(&st, now_s);
+        let age = self.age(line, now_s);
         let errors = self.sampler.bit_errors_m(age);
         // Stuck bits eat into the BCH margin: force the rewrite so the
         // wear controller sees the line and can remap it onto a spare.
-        let stuck = self.wear.as_ref().map_or(0, |w| w.stuck_cells(line));
+        let stuck = self.stuck_cells(line);
         let rewrite = errors >= 1 || stuck > 0;
-        let slc = LwtFlags::storage_bits(self.k);
-        let st = self.table.get_mut(line, now_s);
-        st.last_scrub_s = now_s;
-        st.flags.on_scrub(rewrite);
-        if rewrite {
-            st.last_full_write_s = now_s;
-        }
-        let mut rw = rewrite.then(|| full_line_write(&self.energy, &self.params.timing, slc));
-        if let (Some(w), Some(out)) = (self.wear.as_mut(), rw.as_mut()) {
-            w.apply_program(line, &self.params, &self.energy, out);
-        }
-        ScrubOutcome {
-            read_latency_ns: if stuck > 0 {
-                self.params.escalation_read_ns
-            } else {
-                self.params.timing.m_read_ns
-            },
-            read_energy_pj: self.energy.scrub_scan_pj,
-            rewrite: rw,
-        }
+        self.table.get_mut(line, now_s).flags.on_scrub(rewrite);
+        let slc = LwtFlags::storage_bits(self.policy.k);
+        let scan_ns = self.params.timing.m_read_ns;
+        self.scrub_visit(line, now_s, rewrite, stuck, scan_ns, slc)
     }
 
     fn scrub_interval_s(&self) -> Option<f64> {
-        Some(self.interval_s)
+        Some(self.table.scrub_interval_s())
     }
 
     fn prefetch_line(&mut self, line: u64) {
@@ -912,7 +710,11 @@ impl Default for TlcScheme {
 
 impl DeviceModel for TlcScheme {
     fn on_read(&mut self, _line: u64, _now_s: f64) -> ReadOutcome {
-        ReadOutcome::basic(self.params.timing.r_read_ns, ReadMode::RRead, self.energy.r_read_pj)
+        ReadOutcome::basic(
+            self.params.timing.r_read_ns,
+            ReadMode::RRead,
+            self.energy.r_read_pj,
+        )
     }
 
     fn on_write(&mut self, _line: u64, _now_s: f64) -> WriteOutcome {
@@ -969,7 +771,9 @@ mod tests {
         assert_eq!(r.mode, ReadMode::MRead);
         assert_eq!(r.latency_ns, 450);
         // Cold line at 1e6 s: M-sensing still reads essentially clean.
-        let total: u32 = (0..100).map(|i| s.on_read(100 + i, 1000.0).drift_errors).sum();
+        let total: u32 = (0..100)
+            .map(|i| s.on_read(100 + i, 1000.0).drift_errors)
+            .sum();
         assert!(total < 50, "M errors on cold lines: {total}");
     }
 
@@ -995,7 +799,10 @@ mod tests {
                 r_reads += 1;
             }
         }
-        assert!(r_reads > 400, "cold Hybrid reads should stay fast: {r_reads}");
+        assert!(
+            r_reads > 400,
+            "cold Hybrid reads should stay fast: {r_reads}"
+        );
     }
 
     #[test]
@@ -1079,7 +886,7 @@ mod tests {
         // of the tracked window if the full write has.
         let mut s = LwtScheme::select(10, 4, 1);
         s.on_write(5, 0.0); // full write at t=0 (cold line)
-        // The scrub at ~some point may interfere; keep within one interval.
+                            // The scrub at ~some point may interfere; keep within one interval.
         let w = s.on_write(5, 10.0); // differential
         assert!(w.cells_written < 296);
         let r = s.on_read(5, 20.0);

@@ -92,13 +92,18 @@ impl Simulator {
     ///
     /// `source_for(ch)` must return a *fresh* replay of the whole op
     /// stream for every channel (each channel filters out the ops it does
-    /// not own); `device_for(ch)` builds that channel's device — schemes
+    /// not own); `channel_device(ch)` builds that channel's device — schemes
     /// derive per-channel RNG seeds so channels draw independent noise.
     ///
     /// The merged report is identical at any pool size, including
     /// sequential execution, and identical to
     /// [`run_sharded_reference`](Simulator::run_sharded_reference).
-    pub fn run_sharded<S, D, FS, FD>(&self, pool: &Pool, source_for: FS, device_for: FD) -> SimReport
+    pub fn run_sharded<S, D, FS, FD>(
+        &self,
+        pool: &Pool,
+        source_for: FS,
+        channel_device: FD,
+    ) -> SimReport
     where
         S: OpSource,
         D: DeviceModel,
@@ -108,7 +113,7 @@ impl Simulator {
         let topo = self.config().topology;
         let reports = pool.map((0..topo.channels).collect(), |_, ch| {
             let mut source = ChannelFilter::new(source_for(ch), topo, ch);
-            let mut device = device_for(ch);
+            let mut device = channel_device(ch);
             self.channel_run(ch, &mut source, &mut device).execute()
         });
         SimReport::merged(&reports)
@@ -119,7 +124,11 @@ impl Simulator {
     /// `(at, channel, seq)` order on the calling thread.
     ///
     /// [`run_sharded`]: Simulator::run_sharded
-    pub fn run_sharded_reference<S, D, FS, FD>(&self, source_for: FS, device_for: FD) -> SimReport
+    pub fn run_sharded_reference<S, D, FS, FD>(
+        &self,
+        source_for: FS,
+        channel_device: FD,
+    ) -> SimReport
     where
         S: OpSource,
         D: DeviceModel,
@@ -130,7 +139,7 @@ impl Simulator {
         let mut sources: Vec<ChannelFilter<S>> = (0..topo.channels)
             .map(|ch| ChannelFilter::new(source_for(ch), topo, ch))
             .collect();
-        let mut devices: Vec<D> = (0..topo.channels).map(device_for).collect();
+        let mut devices: Vec<D> = (0..topo.channels).map(channel_device).collect();
         let mut runs: Vec<Run<'_, D, ChannelFilter<S>>> = sources
             .iter_mut()
             .zip(devices.iter_mut())

@@ -8,7 +8,7 @@
 //! cargo run --release --example inmemory_db
 //! ```
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceHints, DeviceSpec, SchemeKind};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::trace::{Locality, TraceGenerator, Workload};
 
@@ -40,8 +40,11 @@ fn main() {
         SchemeKind::LwtNoConversion { k: 4 },
         SchemeKind::Lwt { k: 4 },
     ] {
-        let warm = (db.footprint_lines as f64 * db.locality.written_fraction) as u64;
-        let mut dev = kind.build_for(42, warm, db.footprint_lines);
+        let hints = DeviceHints {
+            warm_boundary: (db.footprint_lines as f64 * db.locality.written_fraction) as u64,
+            footprint_lines: db.footprint_lines,
+        };
+        let mut dev = DeviceSpec::from(kind).build(42, 0, 1, hints);
         let rep = sim.run(&trace, dev.as_mut());
         if kind == SchemeKind::Ideal {
             ideal_ns = rep.exec_ns;

@@ -6,7 +6,7 @@
 //! cargo run --release --example scheme_shootout -- sphinx3
 //! ```
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceHints, DeviceSpec, SchemeKind};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::trace::{TraceGenerator, Workload};
 
@@ -21,7 +21,11 @@ fn main() {
 
     let trace = TraceGenerator::new(11).generate(&workload, instr, 4);
     let sim = Simulator::new(MemoryConfig::paper());
-    let warm = (workload.footprint_lines as f64 * workload.locality.written_fraction) as u64;
+    let hints = DeviceHints {
+        warm_boundary: (workload.footprint_lines as f64 * workload.locality.written_fraction)
+            as u64,
+        footprint_lines: workload.footprint_lines,
+    };
 
     println!(
         "workload {name}: {} reads, {} writes over {instr} instr/core x 4 cores\n",
@@ -45,7 +49,7 @@ fn main() {
         SchemeKind::Tlc,
     ];
     for kind in kinds {
-        let mut dev = kind.build_for(5, warm, workload.footprint_lines);
+        let mut dev = DeviceSpec::from(kind).build(5, 0, 1, hints);
         let rep = sim.run(&trace, dev.as_mut());
         let reads = rep.reads.max(1) as f64;
         println!(

@@ -13,7 +13,7 @@
 mod prop_harness;
 
 use prop_harness::{check, ensure, ensure_eq};
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind, WearConfig};
 use readduo::dram::{DramConfig, EvictPolicy, TieredDevice};
 use readduo::memsim::{
     DeviceModel, MemoryConfig, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome,
@@ -31,25 +31,47 @@ fn harness() -> Harness {
     }
 }
 
+/// Tiered spec: the DRAM tier `dram` in front of `spec`'s device.
+fn with_tier(spec: DeviceSpec, dram: DramConfig) -> DeviceSpec {
+    DeviceSpec { dram: Some(dram), ..spec }
+}
+
 /// Disabled tier (zero capacity) == plain run, bit for bit, for every
-/// scheme shape. This is the same discipline the fault and wear
-/// subsystems obey: off means *absent*, not "present but idle".
+/// scheme shape — and over a faulty, worn device too. This is the same
+/// discipline the fault and wear subsystems obey: off means *absent*,
+/// not "present but idle".
 #[test]
 fn zero_capacity_tier_is_bit_for_bit_the_plain_run() {
     let harness = harness();
     let off = DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) };
+    let wear = WearConfig::new(0x00FA_0017).with_accel(4_000_000);
+    let worn = |scheme: SchemeKind| DeviceSpec {
+        faults: Some(0x00FA_0017),
+        wear: Some(wear),
+        ..scheme.into()
+    };
+    let gcc = Workload::by_name("gcc").expect("gcc");
+    let mcf = Workload::by_name("mcf").expect("mcf");
+    let mut cases: Vec<(Workload, DeviceSpec)> = Vec::new();
     for scheme in [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::Lwt { k: 4 }] {
-        for w in [Workload::toy(), Workload::by_name("gcc").expect("gcc")] {
-            let plain = harness.run_one(&w, scheme);
-            let tiered = harness.run_one_tiered(&w, scheme, off);
-            assert_eq!(
-                plain.report, tiered.report,
-                "zero-capacity tier perturbed {}/{scheme}",
-                w.name
-            );
-            assert_eq!(tiered.report.dram_hits + tiered.report.dram_misses, 0);
-        }
+        cases.push((Workload::toy(), scheme.into()));
+        cases.push((gcc.clone(), scheme.into()));
     }
+    cases.push((mcf.clone(), worn(SchemeKind::Scrubbing)));
+    cases.push((mcf.clone(), worn(SchemeKind::Lwt { k: 4 })));
+    let mut worn_remaps = 0;
+    for (w, spec) in cases {
+        let plain = harness.run_one(&w, &spec).expect("valid spec");
+        let tiered = harness.run_one(&w, &with_tier(spec, off)).expect("valid spec");
+        assert_eq!(
+            plain.report, tiered.report,
+            "zero-capacity tier perturbed {}/{spec:?}",
+            w.name
+        );
+        assert_eq!(tiered.report.dram_hits + tiered.report.dram_misses, 0);
+        worn_remaps += tiered.report.lines_remapped;
+    }
+    assert!(worn_remaps > 0, "the faulty + worn legs must actually remap lines");
 }
 
 /// Seeded tiered runs are repeat-identical, every demand access is
@@ -60,8 +82,8 @@ fn tiered_runs_are_deterministic_and_account_every_access() {
     let dram = DramConfig::new(harness.seed, 2_048).with_threshold(1);
     for scheme in [SchemeKind::Lwt { k: 4 }, SchemeKind::Scrubbing] {
         let w = Workload::by_name("gcc").expect("gcc");
-        let a = harness.run_one_tiered(&w, scheme, dram);
-        let b = harness.run_one_tiered(&w, scheme, dram);
+        let a = harness.run_one(&w, &with_tier(scheme.into(), dram)).expect("valid spec");
+        let b = harness.run_one(&w, &with_tier(scheme.into(), dram)).expect("valid spec");
         assert_eq!(a.report, b.report, "tiered {scheme} run not repeat-identical");
         assert!(a.report.dram_hits > 0, "{scheme}: tier never hit");
         assert!(a.report.dram_misses > 0, "{scheme}: tier never missed");
@@ -88,9 +110,9 @@ fn dram_tier_reduces_lwt_escalation_and_write_traffic() {
     let harness = harness();
     let scheme = SchemeKind::Lwt { k: 4 };
     let w = Workload::by_name("bzip2").expect("bzip2");
-    let base = harness.run_one(&w, scheme);
+    let base = harness.run_one(&w, &scheme.into()).expect("valid spec");
     let dram = DramConfig::new(harness.seed, 8_192).with_threshold(1);
-    let tiered = harness.run_one_tiered(&w, scheme, dram);
+    let tiered = harness.run_one(&w, &with_tier(scheme.into(), dram)).expect("valid spec");
     assert_eq!(tiered.report.silent_corruptions, 0);
     assert!(
         tiered.report.rm_read_rate() < base.report.rm_read_rate(),

@@ -1,7 +1,7 @@
 //! End-to-end integration: trace generation → simulator → schemes, with
 //! the cross-scheme invariants the paper's evaluation rests on.
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceHints, DeviceSpec, SchemeKind};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::trace::{TraceGenerator, Workload};
 
@@ -9,11 +9,14 @@ fn run(kind: SchemeKind, instr: u64) -> readduo::memsim::SimReport {
     let w = Workload::toy();
     let trace = TraceGenerator::new(3).generate(&w, instr, 2);
     let sim = Simulator::new(MemoryConfig::small_test());
-    let warm = (w.footprint_lines as f64 * w.locality.written_fraction) as u64;
+    let hints = DeviceHints {
+        warm_boundary: (w.footprint_lines as f64 * w.locality.written_fraction) as u64,
+        footprint_lines: w.footprint_lines,
+    };
     // Device seed re-pinned for the in-workspace RNG streams: the
     // Ideal-fastest ordering holds in expectation but needs a seed whose
     // noise does not mask the ~microsecond margins at this volume.
-    let mut dev = kind.build_for(19, warm, w.footprint_lines);
+    let mut dev = DeviceSpec::from(kind).build(19, 0, 1, hints);
     sim.run(&trace, dev.as_mut())
 }
 

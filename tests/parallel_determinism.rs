@@ -9,7 +9,7 @@
 //! channels out on the ambient pool, and the merged reports must still be
 //! identical across thread counts.
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::memsim::MemoryConfig;
 use readduo::trace::Workload;
 use readduo_bench::Harness;
@@ -34,29 +34,29 @@ fn run_matrix_is_identical_across_thread_counts() {
     // enabled the merged report must still be independent of the pool
     // width (the wear table is per-channel state like everything else).
     let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
-    let worn_scheme = SchemeKind::Select { k: 4, s: 2 };
+    let worn_spec = DeviceSpec {
+        faults: Some(0x00FA_0017),
+        wear: Some(wear),
+        ..SchemeKind::Select { k: 4, s: 2 }.into()
+    };
     let worn_workload = Workload::by_name("mcf").expect("mcf");
 
     // Tiered runs too: the DRAM cache is per-channel state, so the merged
     // tiered report must also be independent of the pool width.
     let dram = readduo::dram::DramConfig::new(harness.seed, 1_024).with_threshold(1);
-    let tiered_scheme = SchemeKind::Lwt { k: 4 };
+    let tiered_spec = DeviceSpec { dram: Some(dram), ..SchemeKind::Lwt { k: 4 }.into() };
     let tiered_workload = Workload::by_name("gcc").expect("gcc");
 
     std::env::set_var("READDUO_THREADS", "4");
     let parallel = harness.run_matrix(&schemes, &workloads);
     let streamed_par = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_par = harness
-        .run_one_worn(&worn_workload, worn_scheme, 0x00FA_0017, wear)
-        .expect("Select is injectable");
-    let tiered_par = harness.run_one_tiered(&tiered_workload, tiered_scheme, dram);
+    let worn_par = harness.run_one(&worn_workload, &worn_spec).expect("Select is injectable");
+    let tiered_par = harness.run_one(&tiered_workload, &tiered_spec).expect("tiers fit LWT");
     std::env::set_var("READDUO_THREADS", "1");
     let sequential = harness.run_matrix(&schemes, &workloads);
     let streamed_seq = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_seq = harness
-        .run_one_worn(&worn_workload, worn_scheme, 0x00FA_0017, wear)
-        .expect("Select is injectable");
-    let tiered_seq = harness.run_one_tiered(&tiered_workload, tiered_scheme, dram);
+    let worn_seq = harness.run_one(&worn_workload, &worn_spec).expect("Select is injectable");
+    let tiered_seq = harness.run_one(&tiered_workload, &tiered_spec).expect("tiers fit LWT");
     std::env::remove_var("READDUO_THREADS");
 
     assert_eq!(

@@ -11,8 +11,10 @@
 //! pre-topology engine, congestion isolation between channels, and
 //! per-channel scrub-pointer wrap-around.
 
-use readduo::core::{channel_seed, SchemeKind};
-use readduo::memsim::{FixedLatencyDevice, MemoryConfig, SimReport, Simulator, Topology};
+use readduo::core::{channel_seed, DeviceHints, DeviceSpec, SchemeKind};
+use readduo::memsim::{
+    DeviceModel, FixedLatencyDevice, MemoryConfig, SimReport, Simulator, Topology,
+};
 use readduo::trace::{MemOp, OpKind, OpSource, Trace, TraceCursor, TraceGenerator, Workload};
 use readduo_pool::Pool;
 
@@ -67,7 +69,8 @@ fn sharded_engine_matches_sequential_reference() {
         for &scheme in &all_schemes() {
             for channels in [1usize, 2, 8] {
                 let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
-                let device = |ch: usize| scheme.build_for_channel(seed, ch, 0, 0);
+                let spec = DeviceSpec::from(scheme);
+                let device = |ch: usize| spec.build(seed, ch, channels, DeviceHints::default());
                 let reference =
                     sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
                 assert!(reference.reads > 0, "{}/{scheme}: no reads simulated", w.name);
@@ -104,11 +107,11 @@ fn single_channel_reproduces_the_pre_topology_engine() {
         let sharded = sim.run_sharded(
             &Pool::new(2),
             |_| TraceCursor::new(&trace),
-            |ch| scheme.build_for_channel(SEED, ch, 0, 0),
+            |ch| DeviceSpec::from(scheme).build(SEED, ch, 1, DeviceHints::default()),
         );
         let reference = sim.run_sharded_reference(
             |_| TraceCursor::new(&trace),
-            |ch| scheme.build_for_channel(SEED, ch, 0, 0),
+            |ch| DeviceSpec::from(scheme).build(SEED, ch, 1, DeviceHints::default()),
         );
         assert_eq!(plain, sharded, "{scheme}: sharded 1-channel run diverged");
         assert_eq!(plain, reference, "{scheme}: reference 1-channel run diverged");
@@ -161,7 +164,9 @@ impl OpSource for SyntheticSource {
 /// The same differential gate with the endurance model switched on: hard
 /// faults, write-verify retries and spare-line remapping are all channel-
 /// local state, so a worn sharded run must still be bit-for-bit the
-/// sequential single-wheel reference at every pool width. The aging is
+/// sequential single-wheel reference at every pool width. The reference
+/// builds each channel by hand from `channel_seed`, the oracle
+/// `DeviceSpec::build`'s per-channel seeds must match. The aging is
 /// accelerated enough that cells actually die and lines actually remap —
 /// an unreached wear table would make this leg vacuous.
 #[test]
@@ -181,9 +186,11 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
     let wear = WearConfig::new(fault_seed).with_accel(4_000_000);
     let mut total_remaps = 0u64;
     for &scheme in &injectable {
+        let spec = DeviceSpec { faults: Some(fault_seed), wear: Some(wear), ..scheme.into() };
         for channels in [1usize, 2, 8] {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
-            let device = |ch: usize| {
+            let device = |ch: usize| spec.build(seed, ch, channels, DeviceHints::default());
+            let oracle = |ch: usize| {
                 let ch_wear = WearConfig {
                     seed: channel_seed(wear.seed, ch),
                     ..wear
@@ -198,7 +205,7 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
                     )
                     .expect("injectable scheme")
             };
-            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), oracle);
             total_remaps += reference.lines_remapped;
             for &workers in &widths {
                 let sharded =
@@ -221,8 +228,10 @@ fn sharded_engine_matches_sequential_reference_under_wear() {
 /// every channel's device: the cache tag store, miss counters, row-buffer
 /// state and migration decisions are all channel-local, so a tiered
 /// sharded run must still be bit-for-bit the sequential single-wheel
-/// reference at every pool width. The tier is sized to actually hit —
-/// a cold cache would make this leg vacuous.
+/// reference at every pool width; the reference builds each channel's
+/// tier by hand (seed via `channel_seed`, capacity via `sliced`). The
+/// tier is sized to actually hit — a cold cache would make this leg
+/// vacuous.
 #[test]
 fn sharded_engine_matches_sequential_reference_with_dram_tier() {
     use readduo::dram::DramConfig;
@@ -242,11 +251,15 @@ fn sharded_engine_matches_sequential_reference_with_dram_tier() {
     let mut total_hits = 0u64;
     let mut total_writebacks = 0u64;
     for &scheme in &schemes {
+        let spec = DeviceSpec { dram: Some(dram), ..scheme.into() };
         for channels in [1usize, 2, 8] {
             let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
-            let device =
-                |ch: usize| scheme.build_tiered_for_channel(seed, ch, channels, dram, 0, 0);
-            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), device);
+            let device = |ch: usize| spec.build(seed, ch, channels, DeviceHints::default());
+            let oracle = |ch: usize| {
+                let pcm = scheme.build_for(channel_seed(seed, ch), 0, 0);
+                tiered_oracle(pcm, dram, ch, channels)
+            };
+            let reference = sim.run_sharded_reference(|_| TraceCursor::new(&trace), oracle);
             total_hits += reference.dram_hits;
             total_writebacks += reference.dram_writebacks;
             for &workers in &widths {
@@ -264,6 +277,77 @@ fn sharded_engine_matches_sequential_reference_with_dram_tier() {
         total_hits > 0 && total_writebacks > 0,
         "the tiered equivalence leg must exercise hits and dirty demotions \
          (hits {total_hits}, writebacks {total_writebacks})"
+    );
+}
+
+/// Channel `ch`'s tier over `pcm`, built by hand: the oracle for
+/// `DeviceSpec::build`'s tier decorator.
+fn tiered_oracle(
+    pcm: Box<dyn DeviceModel>,
+    dram: readduo::dram::DramConfig,
+    ch: usize,
+    channels: usize,
+) -> Box<dyn DeviceModel> {
+    let cfg = readduo::dram::DramConfig {
+        seed: channel_seed(dram.seed, ch),
+        ..dram.sliced(channels)
+    };
+    Box::new(readduo::dram::TieredDevice::new(pcm, cfg).with_channel(ch))
+}
+
+/// Every layer at once — DRAM tier over a fault-injected, worn device —
+/// streamed over two channels: at every pool width the sharded run is
+/// bit-for-bit the sequential reference, whose channels are built by hand
+/// from `channel_seed`. This is the configuration the MigrantStore
+/// question needs (does demotion's drift-age reset cut real escalations
+/// and wear?), so the leg also checks that each layer is exercised.
+#[test]
+fn sharded_engine_matches_sequential_reference_with_every_layer() {
+    use readduo::core::WearConfig;
+    use readduo::dram::DramConfig;
+    let widths = pool_widths();
+    let w = Workload::by_name("gcc").expect("gcc in the SPEC2006 set");
+    let seed = SEED ^ w.name.len() as u64;
+    let fault_seed = 0x00FA_0017u64;
+    let wear = WearConfig::new(fault_seed).with_accel(4_000_000);
+    let dram = DramConfig::new(SEED, 32).with_threshold(1);
+    let channels = 2;
+    let sim = Simulator::new(MemoryConfig::small_test().with_channels(channels));
+    let stream = |_| TraceGenerator::new(SEED).stream(&w, 60_000, 2);
+    let (mut hits, mut writebacks, mut remaps, mut corrected) = (0, 0, 0, 0);
+    for scheme in [SchemeKind::Hybrid, SchemeKind::Lwt { k: 4 }] {
+        let spec = DeviceSpec {
+            faults: Some(fault_seed),
+            wear: Some(wear),
+            dram: Some(dram),
+            ..scheme.into()
+        };
+        let device = |ch: usize| spec.build(seed, ch, channels, DeviceHints::default());
+        let oracle = |ch: usize| {
+            let ch_wear = WearConfig { seed: channel_seed(wear.seed, ch), ..wear };
+            let pcm = scheme
+                .build_worn(channel_seed(seed, ch), channel_seed(fault_seed, ch), ch_wear, 0, 0)
+                .expect("injectable scheme");
+            tiered_oracle(pcm, dram, ch, channels)
+        };
+        let reference = sim.run_sharded_reference(stream, oracle);
+        hits += reference.dram_hits;
+        writebacks += reference.dram_writebacks;
+        remaps += reference.lines_remapped;
+        corrected += reference.ecc_corrected_bits;
+        for &workers in &widths {
+            let sharded = sim.run_sharded(&Pool::new(workers), stream, device);
+            assert_eq!(
+                sharded, reference,
+                "{scheme} workers={workers}: composed sharded run diverged from the \
+                 sequential reference"
+            );
+        }
+    }
+    assert!(
+        hits > 0 && writebacks > 0 && remaps > 0 && corrected > 0,
+        "every layer must be exercised (hits {hits}, writebacks {writebacks}, \
+         remaps {remaps}, ECC-corrected bits {corrected})"
     );
 }
 
@@ -367,7 +451,9 @@ fn multi_channel_routing_is_stream_order_invariant() {
         let trace = h.trace_for(w);
         for &scheme in &[SchemeKind::Hybrid, SchemeKind::Select { k: 4, s: 2 }] {
             let on_trace = h.run_on_trace(w, &trace, scheme);
-            let streamed = h.run_streamed(w, scheme);
+            let streamed = h
+                .run(w, &scheme.into(), readduo_bench::Source::Stream)
+                .expect("a bare scheme is always a valid spec");
             assert_eq!(
                 on_trace.report, streamed.report,
                 "{}/{scheme}: sharded stream diverged from sharded trace",

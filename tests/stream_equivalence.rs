@@ -5,10 +5,10 @@
 //!
 //! [`TraceStream`]: readduo::trace::TraceStream
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind, WearConfig};
 use readduo::memsim::MemoryConfig;
 use readduo::trace::{TraceGenerator, Workload};
-use readduo_bench::Harness;
+use readduo_bench::{Harness, Source};
 
 fn harness() -> Harness {
     // `READDUO_CHANNELS` widens the topology (default 1): the streamed and
@@ -45,20 +45,30 @@ fn workloads() -> Vec<Workload> {
 }
 
 /// Every scheme, on several workloads: the streamed run must reproduce the
-/// materialised run's report exactly.
+/// materialised run's report exactly — with fault injection and wear
+/// attached too, wherever the scheme takes them.
 #[test]
 fn streamed_run_equals_materialised_run_for_every_scheme() {
     let h = harness();
+    let wear = WearConfig::new(0x00FA_0017).with_accel(4_000_000);
     for w in &workloads() {
         let trace = h.trace_for(w);
         for &scheme in &all_schemes() {
-            let on_trace = h.run_on_trace(w, &trace, scheme);
-            let streamed = h.run_streamed(w, scheme);
-            assert_eq!(
-                on_trace.report, streamed.report,
-                "stream diverged from trace for {} / {}",
-                w.name, scheme
-            );
+            let faulty = DeviceSpec { faults: Some(0x00FA_0017), ..scheme.into() };
+            let worn = DeviceSpec { wear: Some(wear), ..faulty };
+            let mut specs = vec![DeviceSpec::from(scheme)];
+            if faulty.validate().is_ok() {
+                specs.extend([faulty, worn]);
+            }
+            for spec in specs {
+                let on_trace = h.run(w, &spec, Source::Trace(&trace)).expect("valid spec");
+                let streamed = h.run(w, &spec, Source::Stream).expect("valid spec");
+                assert_eq!(
+                    on_trace.report, streamed.report,
+                    "stream diverged from trace for {} / {spec:?}",
+                    w.name
+                );
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 //!    erasure-hinted decode never passes wrong data off as good, no
 //!    matter how hard the aging is accelerated.
 
-use readduo::core::{HybridScheme, SchemeKind, WearConfig};
+use readduo::core::{DeviceSpec, HybridScheme, SchemeKind, WearConfig};
 use readduo::memsim::{MemoryConfig, Simulator};
 use readduo::trace::{TraceGenerator, Workload};
 use readduo_bench::Harness;
@@ -31,6 +31,14 @@ fn harness(channels: usize) -> Harness {
         seed: SEED,
         memory: MemoryConfig::small_test().with_channels(channels),
     }
+}
+
+fn faulty(scheme: SchemeKind) -> DeviceSpec {
+    DeviceSpec { faults: Some(FAULT_SEED), ..scheme.into() }
+}
+
+fn worn(scheme: SchemeKind, wear: WearConfig) -> DeviceSpec {
+    DeviceSpec { wear: Some(wear), ..faulty(scheme) }
 }
 
 fn injectable() -> [SchemeKind; 4] {
@@ -48,9 +56,9 @@ fn unreached_wear_is_bit_identical_to_the_plain_faulty_run() {
     for channels in [1usize, 2] {
         let h = harness(channels);
         for scheme in injectable() {
-            let plain = h.run_one_faulty(&w, scheme, FAULT_SEED).expect("injectable");
+            let plain = h.run_one(&w, &faulty(scheme)).expect("injectable");
             let worn = h
-                .run_one_worn(&w, scheme, FAULT_SEED, WearConfig::new(FAULT_SEED))
+                .run_one(&w, &worn(scheme, WearConfig::new(FAULT_SEED)))
                 .expect("injectable");
             assert_eq!(
                 plain.report, worn.report,
@@ -69,8 +77,8 @@ fn worn_runs_replay_bit_for_bit_from_the_seed() {
     for channels in [1usize, 2] {
         let h = harness(channels);
         for scheme in injectable() {
-            let a = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
-            let b = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
+            let a = h.run_one(&w, &worn(scheme, wear)).expect("injectable");
+            let b = h.run_one(&w, &worn(scheme, wear)).expect("injectable");
             assert_eq!(
                 a.report, b.report,
                 "{scheme} channels={channels}: worn run is not deterministic"
@@ -91,7 +99,7 @@ fn heavy_wear_exercises_the_pipeline_without_silent_corruption() {
     let mut remaps = 0u64;
     let mut stuck_reads = 0u64;
     for scheme in injectable() {
-        let r = h.run_one_worn(&w, scheme, FAULT_SEED, wear).expect("injectable");
+        let r = h.run_one(&w, &worn(scheme, wear)).expect("injectable");
         assert_eq!(
             r.report.silent_corruptions, 0,
             "{scheme}: erasure-hinted decode must not corrupt silently"
@@ -118,7 +126,7 @@ fn spare_exhaustion_is_deterministic() {
         ..WearConfig::new(FAULT_SEED).with_accel(4_000_000)
     };
     let a = h
-        .run_one_worn(&w, SchemeKind::Hybrid, FAULT_SEED, wear)
+        .run_one(&w, &worn(SchemeKind::Hybrid, wear))
         .expect("injectable");
     assert!(
         a.report.spares_exhausted_writes > 0,
@@ -126,7 +134,7 @@ fn spare_exhaustion_is_deterministic() {
     );
     assert_eq!(a.report.lines_remapped, 2, "exactly the pool size remaps");
     let b = h
-        .run_one_worn(&w, SchemeKind::Hybrid, FAULT_SEED, wear)
+        .run_one(&w, &worn(SchemeKind::Hybrid, wear))
         .expect("injectable");
     assert_eq!(a.report, b.report, "exhaustion must replay bit-for-bit");
 }
