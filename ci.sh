@@ -117,11 +117,8 @@ fi
 # analytic model and that the full R-fail → M-retry → ECC-correct →
 # corrective-rewrite chain resolves every read with zero silent
 # corruptions. 4000 lines per point keeps it a few seconds in release.
-# READDUO_BITSLICE=1 pins the run through the 64-lane bitsliced BCH
-# decoder (the default path, made explicit so CI exercises it even if the
-# default ever flips).
-echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000, bitsliced decode)"
-READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 READDUO_BITSLICE=1 \
+echo "==> fault-injection smoke (READDUO_FAULT_MC_LINES=4000)"
+READDUO_FAULT_SEED=16384023 READDUO_FAULT_MC_LINES=4000 \
     ./target/release/fault_mc >/dev/null
 echo "    fault_mc assertions passed"
 

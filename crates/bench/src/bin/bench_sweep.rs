@@ -294,31 +294,18 @@ fn main() {
             tiny.run_matrix_on(&pool, &tiny_schemes, std::slice::from_ref(&w))
         });
     }
-    // Hot-path kernel micros: the PR 8 batched forms against the scalar
-    // forms they replaced, on hot-path-shaped inputs — one 296-cell line
-    // for the Cody erfc kernel, one 64-codeword fault-injection batch
-    // (mostly clean, a few small error patterns) for the BCH decoder.
+    // ECC-decode layer cost: one 64-codeword fault-injection-shaped batch
+    // (mostly clean, a few small error patterns) through the scalar BCH
+    // decoder every injected read uses.
     {
-        use readduo_ecc::{Bch, BchBitslice, PatternOutcome, BITSLICE_LANES};
-        use readduo_math::{erfc, erfc_slice};
+        use readduo_ecc::{Bch, PatternOutcome};
         use readduo_rng::{rngs::StdRng, Rng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(0x5EED);
-        let xs: Vec<f64> = (0..296).map(|_| rng.gen_range(-4.0f64..4.0)).collect();
-        let mut out = vec![0.0f64; xs.len()];
-        m.bench("kernel/erfc_scalar_296", || {
-            xs.iter().map(|&x| erfc(x)).sum::<f64>()
-        });
-        m.bench("kernel/erfc_batch_296", || {
-            erfc_slice(&xs, &mut out);
-            out[out.len() - 1]
-        });
-
         let code = Bch::new(10, 8, 512);
-        let sliced = BchBitslice::new(&code);
-        let pats: Vec<Vec<u16>> = (0..BITSLICE_LANES)
-            .map(|lane| {
-                let weight = match lane % 8 {
+        let pats: Vec<Vec<u16>> = (0..64)
+            .map(|i| {
+                let weight = match i % 8 {
                     0..=4 => 0,
                     5 => 1,
                     6 => 2,
@@ -334,32 +321,18 @@ fn main() {
                 pat
             })
             .collect();
-        let refs: Vec<&[u16]> = pats.iter().map(Vec::as_slice).collect();
         m.bench("kernel/bch_decode_scalar_64cw", || {
             pats.iter()
                 .filter(|p| matches!(code.decode_error_pattern(p), PatternOutcome::Corrected(_)))
                 .count()
         });
-        m.bench("kernel/bch_decode_bitslice_64cw", || {
-            sliced.decode_patterns(&refs).len()
-        });
     }
-    // Per-unit medians for the JSON `kernels` row: the erfc benches run
-    // one 296-cell line per call, the BCH benches one 64-codeword batch.
-    let kernel_med = |name: &str| {
-        m.results()
-            .iter()
-            .find(|s| s.name == name)
-            .map_or(-1.0, |s| s.median_ns())
-    };
-    let erfc_scalar_ns_cell = kernel_med("kernel/erfc_scalar_296") / 296.0;
-    let erfc_batch_ns_cell = kernel_med("kernel/erfc_batch_296") / 296.0;
-    let bch_scalar_ns_cw = kernel_med("kernel/bch_decode_scalar_64cw") / 64.0;
-    let bch_bitslice_ns_cw = kernel_med("kernel/bch_decode_bitslice_64cw") / 64.0;
-    eprintln!(
-        "kernels: erfc {erfc_scalar_ns_cell:.1} -> {erfc_batch_ns_cell:.1} ns/cell, \
-         bch decode {bch_scalar_ns_cw:.0} -> {bch_bitslice_ns_cw:.0} ns/codeword"
-    );
+    let bch_scalar_ns_cw = m
+        .results()
+        .iter()
+        .find(|s| s.name == "kernel/bch_decode_scalar_64cw")
+        .map_or(-1.0, |s| s.median_ns() / 64.0);
+    eprintln!("kernels: bch decode {bch_scalar_ns_cw:.0} ns/codeword");
 
     let micro_json = m.to_json();
     // Indent the embedded micro document two levels.
@@ -372,7 +345,7 @@ fn main() {
         .join("\n");
 
     let json = format!(
-        "{{\n  \"schema\": \"readduo-bench-sweep-v6\",\n  \"generated_by\": \"cargo run --release -p readduo-bench --bin bench_sweep\",\n  \"instructions_per_core\": {instr},\n  \"parallel_threads\": {threads},\n  \"fig9_matrix\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"baseline_pr1_sequential_ms\": {base:.0},\n    \"baseline_pr2_sequential_warm_ms\": {base2:.0},\n    \"sequential_cold_ms\": {cold:.0},\n    \"sequential_warm_ms\": {warm:.0},\n    \"parallel_warm_ms\": {par:.0},\n    \"streaming_warm_ms\": {stream:.0},\n    \"speedup_vs_pr1_baseline\": {speedup:.2},\n    \"speedup_vs_pr2_warm_baseline\": {speedup2:.2}\n  }},\n  \"fig9_matrix_10m\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"instructions_per_core\": 10000000,\n    \"baseline_pr6_streaming_ms\": {base6:.0},\n    \"streaming_ms\": {ms10:.0},\n    \"peak_rss_mb\": {rss10:.0},\n    \"speedup_vs_pr6_baseline\": {speedup6:.2}\n  }},\n  \"shard_scale\": {{\n    \"channels\": 8,\n    \"instructions_per_core\": 10000000,\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threads1_ms\": {st1:.0},\n    \"threads8_ms\": {st8:.0},\n    \"speedup_8t_vs_1t\": {sspd:.2},\n    \"host_parallelism\": {hostp},\n    \"not_meaningful\": {snm},\n    \"reports_identical\": true\n  }},\n  \"lifetime\": {{\n    \"scheme\": \"Select-4:2\",\n    \"workload\": \"mcf\",\n    \"accel\": 300000,\n    \"run_ms\": {lms:.0},\n    \"verify_retries\": {lretries},\n    \"lines_remapped\": {lremaps},\n    \"repeat_identical\": true,\n    \"silent_corruptions\": 0\n  }},\n  \"dram_sweep\": {{\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threshold\": 1,\n    \"capacities_lines\": [4096, 16384, 65536],\n    \"hit_rates\": [{dhr0:.4}, {dhr1:.4}, {dhr2:.4}],\n    \"write_traffic_ratio_top\": {dcr:.4},\n    \"rm_read_rate_base\": {drmb:.6},\n    \"rm_read_rate_top\": {drmt:.6},\n    \"run_ms\": {dms:.0},\n    \"repeat_identical\": true,\n    \"monotone_hit_rate\": true\n  }},\n  \"kernels\": {{\n    \"erfc_scalar_ns_per_cell\": {kes:.2},\n    \"erfc_batch_ns_per_cell\": {keb:.2},\n    \"bch_decode_scalar_ns_per_codeword\": {kbs:.1},\n    \"bch_decode_bitslice_ns_per_codeword\": {kbb:.1}\n  }},\n  \"parallel_equals_sequential\": {identical},\n  \"streaming_equals_sequential\": {identical},\n  \"micro\": {micro}\n}}\n",
+        "{{\n  \"schema\": \"readduo-bench-sweep-v7\",\n  \"generated_by\": \"cargo run --release -p readduo-bench --bin bench_sweep\",\n  \"instructions_per_core\": {instr},\n  \"parallel_threads\": {threads},\n  \"fig9_matrix\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"baseline_pr1_sequential_ms\": {base:.0},\n    \"baseline_pr2_sequential_warm_ms\": {base2:.0},\n    \"sequential_cold_ms\": {cold:.0},\n    \"sequential_warm_ms\": {warm:.0},\n    \"parallel_warm_ms\": {par:.0},\n    \"streaming_warm_ms\": {stream:.0},\n    \"speedup_vs_pr1_baseline\": {speedup:.2},\n    \"speedup_vs_pr2_warm_baseline\": {speedup2:.2}\n  }},\n  \"fig9_matrix_10m\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"instructions_per_core\": 10000000,\n    \"baseline_pr6_streaming_ms\": {base6:.0},\n    \"streaming_ms\": {ms10:.0},\n    \"peak_rss_mb\": {rss10:.0},\n    \"speedup_vs_pr6_baseline\": {speedup6:.2}\n  }},\n  \"shard_scale\": {{\n    \"channels\": 8,\n    \"instructions_per_core\": 10000000,\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threads1_ms\": {st1:.0},\n    \"threads8_ms\": {st8:.0},\n    \"speedup_8t_vs_1t\": {sspd:.2},\n    \"host_parallelism\": {hostp},\n    \"not_meaningful\": {snm},\n    \"reports_identical\": true\n  }},\n  \"lifetime\": {{\n    \"scheme\": \"Select-4:2\",\n    \"workload\": \"mcf\",\n    \"accel\": 300000,\n    \"run_ms\": {lms:.0},\n    \"verify_retries\": {lretries},\n    \"lines_remapped\": {lremaps},\n    \"repeat_identical\": true,\n    \"silent_corruptions\": 0\n  }},\n  \"dram_sweep\": {{\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threshold\": 1,\n    \"capacities_lines\": [4096, 16384, 65536],\n    \"hit_rates\": [{dhr0:.4}, {dhr1:.4}, {dhr2:.4}],\n    \"write_traffic_ratio_top\": {dcr:.4},\n    \"rm_read_rate_base\": {drmb:.6},\n    \"rm_read_rate_top\": {drmt:.6},\n    \"run_ms\": {dms:.0},\n    \"repeat_identical\": true,\n    \"monotone_hit_rate\": true\n  }},\n  \"kernels\": {{\n    \"bch_decode_scalar_ns_per_codeword\": {kbs:.1}\n  }},\n  \"parallel_equals_sequential\": {identical},\n  \"streaming_equals_sequential\": {identical},\n  \"micro\": {micro}\n}}\n",
         instr = h.instructions_per_core,
         threads = threads,
         nschemes = schemes.len(),
@@ -408,10 +381,7 @@ fn main() {
         sspd = shard_speedup,
         hostp = host_parallelism,
         snm = shard_not_meaningful,
-        kes = erfc_scalar_ns_cell,
-        keb = erfc_batch_ns_cell,
         kbs = bch_scalar_ns_cw,
-        kbb = bch_bitslice_ns_cw,
         identical = identical,
         micro = micro_indented,
     );

@@ -15,7 +15,7 @@
 //! Without an injector every scheme byte-for-byte retains its analytic
 //! read path — fault injection is strictly additive.
 
-use readduo_ecc::{Bch, BchBitslice, PatternOutcome, BITSLICE_LANES};
+use readduo_ecc::{Bch, PatternOutcome};
 use readduo_pcm::FaultModel;
 use readduo_rng::rngs::StdRng;
 use readduo_rng::SeedableRng;
@@ -57,7 +57,6 @@ pub struct InjectedRead {
 pub struct FaultInjector {
     model: FaultModel,
     code: Arc<Bch>,
-    sliced: Arc<BchBitslice>,
     rng: StdRng,
     escalate: bool,
 }
@@ -70,12 +69,9 @@ impl FaultInjector {
     /// R-decode as an M-read; the R-only Scrubbing baseline has no
     /// M-sensing circuit, so its failed decodes surface directly.
     pub fn new(seed: u64, escalate: bool) -> Self {
-        let code = Arc::new(Bch::new(10, 8, 512));
-        let sliced = Arc::new(BchBitslice::new(&code));
         Self {
             model: FaultModel::paper(),
-            code,
-            sliced,
+            code: Arc::new(Bch::new(10, 8, 512)),
             rng: StdRng::seed_from_u64(seed),
             escalate,
         }
@@ -124,76 +120,6 @@ impl FaultInjector {
         }
         self.publish(&out);
         out
-    }
-
-    /// Reads up to [`BITSLICE_LANES`] lines in one pass — one R-first read
-    /// per age, decoded by the 64-lane bitsliced BCH decoder.
-    ///
-    /// Outcome-identical to calling [`read_at`] once per age in order: the
-    /// fault patterns are sampled sequentially from the same RNG stream
-    /// *before* any decoding (decoding consumes no randomness, so hoisting
-    /// it out of the sampling loop cannot perturb the stream), and the
-    /// bitsliced decoder is pinned lane-for-lane to the scalar oracle.
-    /// Escalated lanes decode their M-patterns in a second batched pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`BITSLICE_LANES`] ages are passed.
-    ///
-    /// [`read_at`]: FaultInjector::read_at
-    pub fn read_batch_at(&mut self, ages: &[f64]) -> Vec<InjectedRead> {
-        assert!(
-            ages.len() <= BITSLICE_LANES,
-            "at most {BITSLICE_LANES} reads per batch, got {}",
-            ages.len()
-        );
-        let faults: Vec<_> = ages
-            .iter()
-            .map(|&a| self.model.sample_line(a, FULL_LINE_CELLS, &mut self.rng))
-            .collect();
-        let r_pats: Vec<&[u16]> = faults.iter().map(|f| f.r_bits.as_slice()).collect();
-        let mut outs: Vec<InjectedRead> = faults
-            .iter()
-            .map(|f| InjectedRead {
-                r_errors: f.r_bits.len() as u32,
-                ..InjectedRead::default()
-            })
-            .collect();
-        let mut escalations: Vec<usize> = Vec::new();
-        for (i, verdict) in self.sliced.decode_patterns(&r_pats).into_iter().enumerate() {
-            match verdict {
-                PatternOutcome::Clean => {}
-                PatternOutcome::Corrected(n) => outs[i].corrected_bits = n as u32,
-                PatternOutcome::Miscorrected => outs[i].silent_corruption = true,
-                PatternOutcome::Detected if !self.escalate => {
-                    outs[i].detected_uncorrectable = true
-                }
-                PatternOutcome::Detected => {
-                    outs[i].escalated = true;
-                    outs[i].m_errors = faults[i].m_bits.len() as u32;
-                    escalations.push(i);
-                }
-            }
-        }
-        if !escalations.is_empty() {
-            let m_pats: Vec<&[u16]> =
-                escalations.iter().map(|&i| faults[i].m_bits.as_slice()).collect();
-            for (&i, verdict) in escalations.iter().zip(self.sliced.decode_patterns(&m_pats)) {
-                match verdict {
-                    PatternOutcome::Clean => outs[i].needs_rewrite = true,
-                    PatternOutcome::Corrected(n) => {
-                        outs[i].corrected_bits = n as u32;
-                        outs[i].needs_rewrite = true;
-                    }
-                    PatternOutcome::Detected => outs[i].detected_uncorrectable = true,
-                    PatternOutcome::Miscorrected => outs[i].silent_corruption = true,
-                }
-            }
-        }
-        for o in &outs {
-            self.publish(o);
-        }
-        outs
     }
 
     /// One R-first read of a line carrying stuck-at bits from worn-out
@@ -388,30 +314,6 @@ mod tests {
         // policy is a detected-uncorrectable for the R-only baseline.
         assert_eq!(esc, det);
         assert!(det > 0);
-    }
-
-    #[test]
-    fn batched_reads_equal_sequential_reads() {
-        // Same seed: a batched pass must reproduce the sequential chain
-        // read for read, across ages spanning clean, correctable and
-        // escalating bands — and regardless of batch size.
-        let ages: Vec<f64> = (0..150)
-            .map(|i| match i % 5 {
-                0 => 1.0,
-                1 => 640.0,
-                2 => 2e4,
-                3 => 3e4,
-                _ => 1e5,
-            })
-            .collect();
-        let mut seq = FaultInjector::new(77, true);
-        let expected: Vec<InjectedRead> = ages.iter().map(|&a| seq.read_at(a)).collect();
-        for chunk in [1usize, 7, 64] {
-            let mut batch = FaultInjector::new(77, true);
-            let got: Vec<InjectedRead> =
-                ages.chunks(chunk).flat_map(|c| batch.read_batch_at(c)).collect();
-            assert_eq!(got, expected, "chunk size {chunk}");
-        }
     }
 
     #[test]

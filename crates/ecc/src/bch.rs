@@ -50,8 +50,8 @@ pub enum PatternOutcome {
 /// shortened-away (always-zero) positions are never transmitted or stored.
 #[derive(Debug, Clone)]
 pub struct Bch {
-    pub(crate) field: GfField,
-    pub(crate) t: u32,
+    field: GfField,
+    t: u32,
     data_bits: usize,
     parity_bits: usize,
     generator: BinPoly,
@@ -167,7 +167,7 @@ impl Bch {
     ///
     /// Data bit `i` is coefficient `parity + i`; parity bit `j` (stored
     /// after the data) is coefficient `j`.
-    pub(crate) fn poly_position(&self, bit: usize) -> usize {
+    fn poly_position(&self, bit: usize) -> usize {
         if bit < self.data_bits {
             self.parity_bits + bit
         } else {
@@ -178,7 +178,7 @@ impl Bch {
     /// Inverse of [`poly_position`].
     ///
     /// [`poly_position`]: Bch::poly_position
-    pub(crate) fn bit_position(&self, poly_pos: usize) -> usize {
+    fn bit_position(&self, poly_pos: usize) -> usize {
         if poly_pos < self.parity_bits {
             self.data_bits + poly_pos
         } else {
@@ -310,7 +310,6 @@ impl Bch {
             return PatternOutcome::Corrected(positions.len());
         }
         match self.decode(&mut cw) {
-            DecodeOutcome::Clean if positions.is_empty() => PatternOutcome::Clean,
             // A nonzero pattern with all-zero syndromes IS another
             // codeword: the errors are invisible and the data is wrong.
             DecodeOutcome::Clean => PatternOutcome::Miscorrected,
@@ -384,7 +383,7 @@ impl Bch {
     /// # Panics
     ///
     /// Panics if a position is out of range or repeated within its list.
-    pub(crate) fn flip_erased(&self, errors: &[u16], erasures: &[u16]) -> Vec<u16> {
+    fn flip_erased(&self, errors: &[u16], erasures: &[u16]) -> Vec<u16> {
         let n = self.codeword_bits();
         let mut mark = vec![false; n];
         for &p in errors {
@@ -404,7 +403,7 @@ impl Bch {
 
     /// Berlekamp–Massey over GF(2^m). Returns σ as a coefficient vector
     /// (σ[0] = 1), or `None` on an internal inconsistency.
-    pub(crate) fn berlekamp_massey(&self, synd: &[u32]) -> Option<Vec<u32>> {
+    fn berlekamp_massey(&self, synd: &[u32]) -> Option<Vec<u32>> {
         let f = &self.field;
         let n = synd.len();
         let mut sigma = vec![0u32; n + 1];
@@ -452,7 +451,7 @@ impl Bch {
     }
 
     /// Evaluates a GF(2^m)-coefficient polynomial at `x` (Horner).
-    pub(crate) fn eval_gf_poly(&self, coeffs: &[u32], x: u32) -> u32 {
+    fn eval_gf_poly(&self, coeffs: &[u32], x: u32) -> u32 {
         let mut acc = 0u32;
         for &c in coeffs.iter().rev() {
             acc = self.field.mul(acc, x) ^ c;
@@ -655,14 +654,24 @@ mod tests {
         // Between t+1 and 2t errors the code must never claim success:
         // the designed distance guarantees detection (miscorrection onto
         // a wrong codeword is flagged as such, never as Corrected/Clean).
-        for count in 9..=16u16 {
-            let pat: Vec<u16> = (0..count).map(|i| i * 34).collect();
+        // Past 2t the same holds (positions wrap mod 592, still distinct).
+        for count in (9..=16u16).chain([17, 24, 36]) {
+            let pat: Vec<u16> = (0..count).map(|i| i * 34 % 592).collect();
             let out = code.decode_error_pattern(&pat);
             assert!(
                 matches!(out, PatternOutcome::Detected | PatternOutcome::Miscorrected),
                 "count={count}: {out:?}"
             );
         }
+        // A nonzero codeword as the pattern has all-zero syndromes: the
+        // errors are invisible, so the verdict is silent corruption.
+        let mut data = vec![0u8; 64];
+        data[0] = 1;
+        let codeword: Vec<u16> = code.encode(&data).ones().into_iter().map(|p| p as u16).collect();
+        assert!(codeword.len() > 16);
+        assert_eq!(code.decode_error_pattern(&codeword), PatternOutcome::Miscorrected);
+        // One bit short of it, the decoder "corrects" onto that codeword.
+        assert_eq!(code.decode_error_pattern(&codeword[1..]), PatternOutcome::Miscorrected);
     }
 
     #[test]
@@ -777,6 +786,12 @@ mod tests {
                 assert_eq!(
                     code.decode_error_pattern_with_erasures(&errors, &erasures),
                     PatternOutcome::Corrected(14)
+                );
+                // A hint naming only 2 of the 12 stuck bits leaves 12
+                // wrong in trial 1 as well: both trials fail detectably.
+                assert_eq!(
+                    code.decode_error_pattern_with_erasures(&errors, &erasures[..2]),
+                    PatternOutcome::Detected
                 );
                 recovered += 1;
             }

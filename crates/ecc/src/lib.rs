@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod bch;
-pub mod bitslice;
 pub mod bitvec;
 pub mod gf;
 pub mod parity;
@@ -50,7 +49,6 @@ pub mod poly;
 pub mod secded;
 
 pub use bch::{Bch, DecodeOutcome, PatternOutcome};
-pub use bitslice::{BchBitslice, LANES as BITSLICE_LANES};
 pub use bitvec::BitVec;
 pub use gf::GfField;
 pub use parity::InterleavedParity;

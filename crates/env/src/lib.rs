@@ -184,12 +184,6 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Pre-reserved steady-state pool capacity (events / queue slots) per engine",
         },
         EnvVar {
-            name: "READDUO_BITSLICE",
-            kind: EnvKind::Flag,
-            default: "1",
-            doc: "Use the bitsliced 64-lane BCH decoder in fault injection (0 forces the scalar oracle)",
-        },
-        EnvVar {
             name: "READDUO_WEAR",
             kind: EnvKind::Flag,
             default: "0",
@@ -523,19 +517,23 @@ mod tests {
     }
 
     /// Every `READDUO_*` variable read anywhere in the workspace must be
-    /// registered in [`recognized`]. Scans the sibling crates' sources plus
-    /// the workspace-level tests/examples for tokens and diffs them against
-    /// the registry, so adding a new variable without documenting it fails
-    /// this test with the offending file named.
+    /// registered in [`recognized`], and every registered variable must be
+    /// read somewhere. Scans the sibling crates' sources plus the
+    /// workspace-level tests/examples for tokens (skipping this file, which
+    /// names every variable by construction) and diffs them against the
+    /// registry both ways, so adding a new variable without documenting it
+    /// fails this test with the offending file named, and a stale registry
+    /// row fails it with the variable named.
     #[test]
     fn every_workspace_variable_is_registered() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .canonicalize()
             .expect("workspace root");
+        let registry = root.join("crates/env/src/lib.rs");
         let mut found: std::collections::BTreeMap<String, String> = Default::default();
         for dir in ["crates", "src", "tests", "examples"] {
-            scan_dir(&root.join(dir), &mut found);
+            scan_dir(&root.join(dir), &registry, &mut found);
         }
         assert!(
             found.contains_key("READDUO_THREADS") && found.contains_key("READDUO_INSTR"),
@@ -553,16 +551,26 @@ mod tests {
                 "{name} is read in {file} but not registered in readduo_env::recognized()"
             );
         }
+        for name in registered {
+            assert!(
+                found.contains_key(name),
+                "{name} is registered in readduo_env::recognized() but read nowhere in the workspace"
+            );
+        }
     }
 
-    fn scan_dir(dir: &std::path::Path, found: &mut std::collections::BTreeMap<String, String>) {
+    fn scan_dir(
+        dir: &std::path::Path,
+        skip: &std::path::Path,
+        found: &mut std::collections::BTreeMap<String, String>,
+    ) {
         let Ok(entries) = std::fs::read_dir(dir) else { return };
         for entry in entries.flatten() {
             let path = entry.path();
             if path.is_dir() {
                 // `target/` never appears under the scanned roots.
-                scan_dir(&path, found);
-            } else if path.extension().is_some_and(|e| e == "rs") {
+                scan_dir(&path, skip, found);
+            } else if path != skip && path.extension().is_some_and(|e| e == "rs") {
                 let Ok(text) = std::fs::read_to_string(&path) else { continue };
                 let mut rest = text.as_str();
                 while let Some(i) = rest.find("READDUO_") {

@@ -43,7 +43,7 @@ pub mod normal;
 pub mod stats;
 
 pub use binomial::BinomialSampler;
-pub use erf::{erf, erf_slice, erfc, erfc_scaled, erfc_slice, inverse_erf};
+pub use erf::{erf, erfc, erfc_scaled, inverse_erf};
 pub use integrate::{adaptive_simpson, gauss_legendre, GaussLegendre};
 pub use logspace::{ln_choose, ln_factorial, log1mexp, log_sum_exp, LogProb};
 pub use normal::{std_quantile_bracket, Normal, TruncatedNormal};

@@ -8,20 +8,15 @@
 
 mod prop_harness;
 
-use std::sync::OnceLock;
-
 use prop_harness::{check, ensure, ensure_eq, gen_bytes, gen_subset};
 use readduo::core::LwtFlags;
-use readduo::ecc::{
-    Bch, BchBitslice, BitVec, DecodeOutcome, GfField, PatternOutcome, BITSLICE_LANES,
-};
-use readduo::math::{binomial, erf, erf_slice, erfc, erfc_slice, ln_choose, LogProb};
+use readduo::ecc::{Bch, BitVec, DecodeOutcome, GfField, PatternOutcome};
+use readduo::math::{binomial, ln_choose, LogProb};
 use readduo::memsim::{ChannelMerge, Topology};
 use readduo::pcm::state::{bytes_to_cell_data, cell_data_to_bytes};
 use readduo::pcm::{
-    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, MetricConfig, WearModel,
+    drift_exponent, log_metric_at, log_metric_at_slice, log_metric_at_u, WearModel,
 };
-use readduo::reliability::{CachedErrorCurve, CellErrorModel};
 use readduo::trace::{read_trace, write_trace, TraceGenerator, Workload};
 use readduo_rng::{Rng as _, RngCore as _};
 
@@ -139,6 +134,10 @@ fn bch_pattern_shortcut_matches_full_decode() {
         assert_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(w as usize));
         assert_eq!(code.decode_error_pattern(&pattern), PatternOutcome::Corrected(w as usize));
     }
+}
+
+fn to_u16(positions: impl IntoIterator<Item = usize>) -> Vec<u16> {
+    positions.into_iter().map(|p| p as u16).collect()
 }
 
 /// The wear scan `WearModel::weakest_cell` replaced: one exact (Newton)
@@ -499,250 +498,6 @@ fn channel_merge_matches_binary_heap_reference() {
     );
 }
 
-/// The paper code and its bitsliced decoder, built once: construction
-/// tabulates GF logs and 592×16 syndrome contributions, which would
-/// dominate the property if rebuilt per case.
-fn bch_pair() -> &'static (Bch, BchBitslice) {
-    static PAIR: OnceLock<(Bch, BchBitslice)> = OnceLock::new();
-    PAIR.get_or_init(|| {
-        let code = Bch::new(10, 8, 512);
-        let sliced = BchBitslice::new(&code);
-        (code, sliced)
-    })
-}
-
-/// Every lane of the bitsliced BCH decoder returns exactly the scalar
-/// oracle's verdict. Each case fills all 64 lanes with a spread of error
-/// weights — empty (`Clean`), 1..=t (`Corrected`), t+1..=2t (`Detected`),
-/// far beyond 2t (where `Miscorrected` verdicts live), and one lane set to
-/// a nonzero *codeword* (zero syndromes, guaranteed `Miscorrected`).
-#[test]
-fn bch_bitslice_matches_scalar_oracle() {
-    check(
-        "bch_bitslice_matches_scalar_oracle",
-        |rng| {
-            let (code, _) = bch_pair();
-            let nbits = code.codeword_bits();
-            (0..BITSLICE_LANES)
-                .map(|lane| match lane % 8 {
-                    0 => Vec::new(),
-                    1 => {
-                        // A nonzero codeword as the "error" pattern: its
-                        // syndromes vanish, so decode must report silent
-                        // corruption, and the bitsliced screen takes its
-                        // all-clean shortcut for a nonempty pattern.
-                        let mut data = gen_bytes(rng, 64, 64);
-                        data.resize(64, 0);
-                        data[0] |= 1;
-                        code.encode(&data)
-                            .ones()
-                            .into_iter()
-                            .map(|p| p as u16)
-                            .collect()
-                    }
-                    2 => to_u16(gen_subset(rng, nbits, 1, 8)),
-                    3 => to_u16(gen_subset(rng, nbits, 9, 16)),
-                    4 => to_u16(gen_subset(rng, nbits, 17, 24)),
-                    5 => to_u16(gen_subset(rng, nbits, 25, 60)),
-                    6 => to_u16(gen_subset(rng, nbits, 0, 2)),
-                    _ => to_u16(gen_subset(rng, nbits, 0, 40)),
-                })
-                .collect::<Vec<Vec<u16>>>()
-        },
-        |pats| {
-            let (code, sliced) = bch_pair();
-            let nbits = code.codeword_bits();
-            if pats.len() > BITSLICE_LANES
-                || pats.iter().any(|p| {
-                    p.iter().any(|&b| b as usize >= nbits)
-                        || p.windows(2).any(|w| w[0] >= w[1])
-                })
-            {
-                return Ok(());
-            }
-            let refs: Vec<&[u16]> = pats.iter().map(Vec::as_slice).collect();
-            let batch = sliced.decode_patterns(&refs);
-            ensure_eq!(batch.len(), pats.len());
-            for (lane, pat) in pats.iter().enumerate() {
-                let oracle = code.decode_error_pattern(pat);
-                ensure!(
-                    batch[lane] == oracle,
-                    "lane {lane} weight {}: bitsliced {:?} != scalar {oracle:?}",
-                    pat.len(),
-                    batch[lane]
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-fn to_u16(positions: impl IntoIterator<Item = usize>) -> Vec<u16> {
-    positions.into_iter().map(|p| p as u16).collect()
-}
-
-/// Every lane of the bitsliced *erasure-aware* decoder returns exactly
-/// the scalar oracle's verdict. Each case fills all 64 lanes with the
-/// stuck-bit shapes the wear subsystem produces plus adversarial ones —
-/// wrong ⊆ erased with `f ≤ t` (the guaranteed-correct hint), erased
-/// positions that read right (hints that cost a trial but flip nothing
-/// wrong), drift errors outside the erasure set near the `e + f ≤ 2t`
-/// boundary, erasure sets far beyond capacity, and the degenerate empty
-/// hint that must collapse to the plain decode.
-#[test]
-fn bch_erasure_decode_matches_scalar_oracle_bitsliced() {
-    check(
-        "bch_erasure_decode_matches_scalar_oracle_bitsliced",
-        |rng| {
-            let (code, _) = bch_pair();
-            let nbits = code.codeword_bits();
-            (0..BITSLICE_LANES)
-                .map(|lane| match lane % 8 {
-                    0 => (Vec::new(), Vec::new()),
-                    1 => {
-                        // The steady-state wear shape: every wrong bit is
-                        // a known-dead cell, f <= t.
-                        let erased = gen_subset(rng, nbits, 1, 8);
-                        let wrong: Vec<u16> = erased
-                            .iter()
-                            .filter(|_| rng.gen_range(0u32..2) == 0)
-                            .map(|&p| p as u16)
-                            .collect();
-                        (wrong, to_u16(erased))
-                    }
-                    2 => {
-                        // Empty hint: must be the plain decode verdict.
-                        (to_u16(gen_subset(rng, nbits, 0, 12)), Vec::new())
-                    }
-                    3 => {
-                        // Stuck bits plus drift outside the hint, mixed
-                        // weights straddling the e + f <= 2t boundary.
-                        let erased = gen_subset(rng, nbits, 1, 8);
-                        let mut wrong: Vec<u16> = erased
-                            .iter()
-                            .filter(|_| rng.gen_range(0u32..2) == 0)
-                            .map(|&p| p as u16)
-                            .collect();
-                        wrong.extend(
-                            gen_subset(rng, nbits, 0, 8)
-                                .into_iter()
-                                .filter(|p| !erased.contains(p))
-                                .map(|p| p as u16),
-                        );
-                        wrong.sort_unstable();
-                        (wrong, to_u16(erased))
-                    }
-                    4 => {
-                        // Hints alone, none of them actually wrong: the
-                        // erasure trial flips healthy bits and must still
-                        // agree with the oracle.
-                        (Vec::new(), to_u16(gen_subset(rng, nbits, 1, 16)))
-                    }
-                    5 => {
-                        // Far beyond capacity: 2x the margin and more.
-                        let erased = gen_subset(rng, nbits, 17, 40);
-                        let wrong: Vec<u16> = erased
-                            .iter()
-                            .filter(|_| rng.gen_range(0u32..2) == 0)
-                            .map(|&p| p as u16)
-                            .collect();
-                        (wrong, to_u16(erased))
-                    }
-                    6 => {
-                        // Adversarial: heavy unrelated errors with a hint
-                        // that points mostly at the wrong cells.
-                        (
-                            to_u16(gen_subset(rng, nbits, 0, 60)),
-                            to_u16(gen_subset(rng, nbits, 1, 16)),
-                        )
-                    }
-                    _ => (
-                        to_u16(gen_subset(rng, nbits, 0, 24)),
-                        to_u16(gen_subset(rng, nbits, 0, 16)),
-                    ),
-                })
-                .collect::<Vec<(Vec<u16>, Vec<u16>)>>()
-        },
-        |lanes| {
-            let (code, sliced) = bch_pair();
-            let nbits = code.codeword_bits();
-            let in_domain = |p: &[u16]| {
-                p.iter().all(|&b| (b as usize) < nbits) && p.windows(2).all(|w| w[0] < w[1])
-            };
-            if lanes.len() > BITSLICE_LANES
-                || lanes.iter().any(|(e, f)| !in_domain(e) || !in_domain(f))
-            {
-                return Ok(());
-            }
-            let errs: Vec<&[u16]> = lanes.iter().map(|(e, _)| e.as_slice()).collect();
-            let eras: Vec<&[u16]> = lanes.iter().map(|(_, f)| f.as_slice()).collect();
-            let batch = sliced.decode_patterns_with_erasures(&errs, &eras);
-            ensure_eq!(batch.len(), lanes.len());
-            for (lane, (errors, erasures)) in lanes.iter().enumerate() {
-                let oracle = code.decode_error_pattern_with_erasures(errors, erasures);
-                ensure!(
-                    batch[lane] == oracle,
-                    "lane {lane} e={} f={}: bitsliced {:?} != scalar {oracle:?}",
-                    errors.len(),
-                    erasures.len(),
-                    batch[lane]
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-/// The batched Cody kernels are the scalar functions, bit for bit, at
-/// every slot — over magnitudes from deep underflow to both saturated
-/// tails, either sign, and zero.
-#[test]
-fn batched_erf_kernels_match_scalar_bitwise() {
-    check(
-        "batched_erf_kernels_match_scalar_bitwise",
-        |rng| {
-            (0..rng.gen_range(0usize..=257))
-                .map(|_| {
-                    let x = match rng.gen_range(0u32..8) {
-                        0 => 0.0,
-                        1 => 10f64.powf(rng.gen_range(-300.0f64..-8.0)),
-                        2 => rng.gen_range(6.0f64..30.0),
-                        _ => rng.gen_range(0.0f64..4.0),
-                    };
-                    if rng.gen_range(0u32..2) == 0 {
-                        x
-                    } else {
-                        -x
-                    }
-                })
-                .collect::<Vec<f64>>()
-        },
-        |xs| {
-            if xs.iter().any(|x| !x.is_finite()) {
-                return Ok(());
-            }
-            let mut out = vec![0.0; xs.len()];
-            erf_slice(xs, &mut out);
-            for (&x, &o) in xs.iter().zip(&out) {
-                ensure!(
-                    o.to_bits() == erf(x).to_bits(),
-                    "erf({x:e}): batch {o:e} != scalar {:e}",
-                    erf(x)
-                );
-            }
-            erfc_slice(xs, &mut out);
-            for (&x, &o) in xs.iter().zip(&out) {
-                ensure!(
-                    o.to_bits() == erfc(x).to_bits(),
-                    "erfc({x:e}): batch {o:e} != scalar {:e}",
-                    erfc(x)
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Hoisting the drift exponent is exact: for any line of cells,
 /// `log_metric_at_slice` / `log_metric_at_u` over one shared
 /// `drift_exponent(t, t0)` reproduce per-cell `log_metric_at` bit for bit.
@@ -779,51 +534,6 @@ fn batched_drift_kernel_matches_scalar_bitwise() {
                     log_metric_at_u(x0, a, u).to_bits() == scalar.to_bits(),
                     "slot {i}: log_metric_at_u {:e} != log_metric_at {scalar:e}",
                     log_metric_at_u(x0, a, u)
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-/// The R-metric error curve, tabulated once: each knot integrates a
-/// 96-point quadrature, far too slow to rebuild per case.
-fn cached_curve() -> &'static CachedErrorCurve {
-    static CURVE: OnceLock<CachedErrorCurve> = OnceLock::new();
-    CURVE.get_or_init(|| {
-        let model = CellErrorModel::new(MetricConfig::r_metric());
-        CachedErrorCurve::new(&model, 1.0, 1e9, 48)
-    })
-}
-
-/// `CachedErrorCurve::prob_slice` is `prob` bit for bit at every slot —
-/// including non-positive ages (exact zero), below-grid, in-range, and
-/// beyond-grid saturation.
-#[test]
-fn cached_curve_batched_lookup_matches_scalar_bitwise() {
-    check(
-        "cached_curve_batched_lookup_matches_scalar_bitwise",
-        |rng| {
-            (0..rng.gen_range(0usize..=300))
-                .map(|_| match rng.gen_range(0u32..8) {
-                    0 => 0.0,
-                    1 => -rng.gen_range(0.0f64..1e6),
-                    _ => 10f64.powf(rng.gen_range(-3.0f64..12.0)),
-                })
-                .collect::<Vec<f64>>()
-        },
-        |ages| {
-            if ages.iter().any(|t| !t.is_finite()) {
-                return Ok(());
-            }
-            let curve = cached_curve();
-            let mut out = vec![0.0; ages.len()];
-            curve.prob_slice(ages, &mut out);
-            for (&t, &p) in ages.iter().zip(&out) {
-                ensure!(
-                    p.to_bits() == curve.prob(t).to_bits(),
-                    "prob({t:e}): batch {p:e} != scalar {:e}",
-                    curve.prob(t)
                 );
             }
             Ok(())
