@@ -135,12 +135,14 @@ echo "    perfbench fault_reads audit passed"
 
 # Exact-bracketed-quantile oracles at depth: the fault sampler against
 # its per-cell Newton oracle (LineFaults and the RNG's next draw), the
-# screened wear scan against the full endurance scan, and the BCH ≤t
-# decode shortcut against a full decode — 1024 cases each in release,
-# where the tier-1 run above uses the default 64.
+# sampler's lazy-sensing screen against exact sensing, the screened wear
+# scan against the full endurance scan, and the BCH ≤t decode shortcut
+# against a full decode — 1024 cases each in release, where the tier-1
+# run above uses the default 64.
 echo "==> bracketed-quantile oracles (release, READDUO_PROP_CASES=1024)"
 READDUO_PROP_CASES=1024 cargo test -q --release -p readduo-pcm -- \
-    bracketed_sampler_matches_the_newton_oracle
+    bracketed_sampler_matches_the_newton_oracle \
+    screen_clears_only_cells_that_sense_their_level
 READDUO_PROP_CASES=1024 cargo test -q --release --test proptests -- \
     wear_screened_scan bch_pattern_shortcut
 

@@ -318,6 +318,7 @@ fn main() {
                         pat.push(b);
                     }
                 }
+                pat.sort_unstable(); // the fault sampler emits ascending bits
                 pat
             })
             .collect();
@@ -327,12 +328,39 @@ fn main() {
                 .count()
         });
     }
-    let bch_scalar_ns_cw = m
-        .results()
-        .iter()
-        .find(|s| s.name == "kernel/bch_decode_scalar_64cw")
-        .map_or(-1.0, |s| s.median_ns() / 64.0);
-    eprintln!("kernels: bch decode {bch_scalar_ns_cw:.0} ns/codeword");
+    // Fault-sampler layer cost: one full line (the pattern every injected
+    // read samples) at the scrub-interval age and at 10^5 s.
+    {
+        use readduo_core::common::FULL_LINE_CELLS;
+        use readduo_pcm::{FaultModel, LineFaults};
+        use readduo_rng::{rngs::StdRng, SeedableRng};
+
+        let model = FaultModel::paper();
+        let mut faults = LineFaults::default();
+        for (name, age_s) in [
+            ("kernel/fault_sample_line_640s", 640.0),
+            ("kernel/fault_sample_line_1e5s", 1e5),
+        ] {
+            let mut rng = StdRng::seed_from_u64(0xFA17);
+            m.bench(name, || {
+                model.sample_line_into(age_s, FULL_LINE_CELLS, &mut rng, &mut faults);
+                faults.r_cells
+            });
+        }
+    }
+    let median_of = |name: &str| {
+        m.results()
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(-1.0, |s| s.median_ns())
+    };
+    let bch_scalar_ns_cw = median_of("kernel/bch_decode_scalar_64cw") / 64.0;
+    let fault_line_640_ns = median_of("kernel/fault_sample_line_640s");
+    let fault_line_1e5_ns = median_of("kernel/fault_sample_line_1e5s");
+    eprintln!(
+        "kernels: bch decode {bch_scalar_ns_cw:.0} ns/codeword, fault sample \
+         {fault_line_640_ns:.0} ns/line @ 640 s, {fault_line_1e5_ns:.0} ns/line @ 1e5 s"
+    );
 
     let micro_json = m.to_json();
     // Indent the embedded micro document two levels.
@@ -345,7 +373,7 @@ fn main() {
         .join("\n");
 
     let json = format!(
-        "{{\n  \"schema\": \"readduo-bench-sweep-v7\",\n  \"generated_by\": \"cargo run --release -p readduo-bench --bin bench_sweep\",\n  \"instructions_per_core\": {instr},\n  \"parallel_threads\": {threads},\n  \"fig9_matrix\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"baseline_pr1_sequential_ms\": {base:.0},\n    \"baseline_pr2_sequential_warm_ms\": {base2:.0},\n    \"sequential_cold_ms\": {cold:.0},\n    \"sequential_warm_ms\": {warm:.0},\n    \"parallel_warm_ms\": {par:.0},\n    \"streaming_warm_ms\": {stream:.0},\n    \"speedup_vs_pr1_baseline\": {speedup:.2},\n    \"speedup_vs_pr2_warm_baseline\": {speedup2:.2}\n  }},\n  \"fig9_matrix_10m\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"instructions_per_core\": 10000000,\n    \"baseline_pr6_streaming_ms\": {base6:.0},\n    \"streaming_ms\": {ms10:.0},\n    \"peak_rss_mb\": {rss10:.0},\n    \"speedup_vs_pr6_baseline\": {speedup6:.2}\n  }},\n  \"shard_scale\": {{\n    \"channels\": 8,\n    \"instructions_per_core\": 10000000,\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threads1_ms\": {st1:.0},\n    \"threads8_ms\": {st8:.0},\n    \"speedup_8t_vs_1t\": {sspd:.2},\n    \"host_parallelism\": {hostp},\n    \"not_meaningful\": {snm},\n    \"reports_identical\": true\n  }},\n  \"lifetime\": {{\n    \"scheme\": \"Select-4:2\",\n    \"workload\": \"mcf\",\n    \"accel\": 300000,\n    \"run_ms\": {lms:.0},\n    \"verify_retries\": {lretries},\n    \"lines_remapped\": {lremaps},\n    \"repeat_identical\": true,\n    \"silent_corruptions\": 0\n  }},\n  \"dram_sweep\": {{\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threshold\": 1,\n    \"capacities_lines\": [4096, 16384, 65536],\n    \"hit_rates\": [{dhr0:.4}, {dhr1:.4}, {dhr2:.4}],\n    \"write_traffic_ratio_top\": {dcr:.4},\n    \"rm_read_rate_base\": {drmb:.6},\n    \"rm_read_rate_top\": {drmt:.6},\n    \"run_ms\": {dms:.0},\n    \"repeat_identical\": true,\n    \"monotone_hit_rate\": true\n  }},\n  \"kernels\": {{\n    \"bch_decode_scalar_ns_per_codeword\": {kbs:.1}\n  }},\n  \"parallel_equals_sequential\": {identical},\n  \"streaming_equals_sequential\": {identical},\n  \"micro\": {micro}\n}}\n",
+        "{{\n  \"schema\": \"readduo-bench-sweep-v8\",\n  \"generated_by\": \"cargo run --release -p readduo-bench --bin bench_sweep\",\n  \"instructions_per_core\": {instr},\n  \"parallel_threads\": {threads},\n  \"fig9_matrix\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"baseline_pr1_sequential_ms\": {base:.0},\n    \"baseline_pr2_sequential_warm_ms\": {base2:.0},\n    \"sequential_cold_ms\": {cold:.0},\n    \"sequential_warm_ms\": {warm:.0},\n    \"parallel_warm_ms\": {par:.0},\n    \"streaming_warm_ms\": {stream:.0},\n    \"speedup_vs_pr1_baseline\": {speedup:.2},\n    \"speedup_vs_pr2_warm_baseline\": {speedup2:.2}\n  }},\n  \"fig9_matrix_10m\": {{\n    \"schemes\": {nschemes},\n    \"workloads\": {nworkloads},\n    \"instructions_per_core\": 10000000,\n    \"baseline_pr6_streaming_ms\": {base6:.0},\n    \"streaming_ms\": {ms10:.0},\n    \"peak_rss_mb\": {rss10:.0},\n    \"speedup_vs_pr6_baseline\": {speedup6:.2}\n  }},\n  \"shard_scale\": {{\n    \"channels\": 8,\n    \"instructions_per_core\": 10000000,\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threads1_ms\": {st1:.0},\n    \"threads8_ms\": {st8:.0},\n    \"speedup_8t_vs_1t\": {sspd:.2},\n    \"host_parallelism\": {hostp},\n    \"not_meaningful\": {snm},\n    \"reports_identical\": true\n  }},\n  \"lifetime\": {{\n    \"scheme\": \"Select-4:2\",\n    \"workload\": \"mcf\",\n    \"accel\": 300000,\n    \"run_ms\": {lms:.0},\n    \"verify_retries\": {lretries},\n    \"lines_remapped\": {lremaps},\n    \"repeat_identical\": true,\n    \"silent_corruptions\": 0\n  }},\n  \"dram_sweep\": {{\n    \"scheme\": \"LWT-4\",\n    \"workload\": \"mcf\",\n    \"threshold\": 1,\n    \"capacities_lines\": [4096, 16384, 65536],\n    \"hit_rates\": [{dhr0:.4}, {dhr1:.4}, {dhr2:.4}],\n    \"write_traffic_ratio_top\": {dcr:.4},\n    \"rm_read_rate_base\": {drmb:.6},\n    \"rm_read_rate_top\": {drmt:.6},\n    \"run_ms\": {dms:.0},\n    \"repeat_identical\": true,\n    \"monotone_hit_rate\": true\n  }},\n  \"kernels\": {{\n    \"bch_decode_scalar_ns_per_codeword\": {kbs:.1},\n    \"fault_sample_line_ns\": {{\"cells\": 296, \"age_640s\": {kf640:.0}, \"age_1e5s\": {kf1e5:.0}}}\n  }},\n  \"parallel_equals_sequential\": {identical},\n  \"streaming_equals_sequential\": {identical},\n  \"micro\": {micro}\n}}\n",
         instr = h.instructions_per_core,
         threads = threads,
         nschemes = schemes.len(),
@@ -382,6 +410,8 @@ fn main() {
         hostp = host_parallelism,
         snm = shard_not_meaningful,
         kbs = bch_scalar_ns_cw,
+        kf640 = fault_line_640_ns,
+        kf1e5 = fault_line_1e5_ns,
         identical = identical,
         micro = micro_indented,
     );

@@ -16,7 +16,7 @@
 //! read path — fault injection is strictly additive.
 
 use readduo_ecc::{Bch, PatternOutcome};
-use readduo_pcm::FaultModel;
+use readduo_pcm::{FaultModel, LineFaults};
 use readduo_rng::rngs::StdRng;
 use readduo_rng::SeedableRng;
 use std::sync::Arc;
@@ -53,12 +53,18 @@ pub struct InjectedRead {
 
 /// Per-scheme fault injector: samples line faults, decodes them with the
 /// paper's BCH-8 code, and applies the R→M escalation policy.
+///
+/// The sampled pattern and the stuck-bit overlay live in buffers the
+/// injector owns and reuses, so a read allocates nothing once they have
+/// grown to a line's worst case.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     model: FaultModel,
     code: Arc<Bch>,
     rng: StdRng,
     escalate: bool,
+    faults: LineFaults,
+    merged: Vec<u16>,
 }
 
 impl FaultInjector {
@@ -74,6 +80,8 @@ impl FaultInjector {
             code: Arc::new(Bch::new(10, 8, 512)),
             rng: StdRng::seed_from_u64(seed),
             escalate,
+            faults: LineFaults::default(),
+            merged: Vec::new(),
         }
     }
 
@@ -90,7 +98,8 @@ impl FaultInjector {
     /// One R-first read of a line aged `age_s` seconds since its last full
     /// write, through the full decode/escalate chain.
     pub fn read_at(&mut self, age_s: f64) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
+        self.sample(age_s);
+        let faults = &self.faults;
         let mut out = InjectedRead {
             r_errors: faults.r_bits.len() as u32,
             ..InjectedRead::default()
@@ -142,23 +151,23 @@ impl FaultInjector {
         stuck_wrong: &[u16],
         erased: &[u16],
     ) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let r_bits = merge_stuck(&faults.r_bits, stuck_wrong, erased);
+        self.sample(age_s);
+        merge_stuck(&self.faults.r_bits, stuck_wrong, erased, &mut self.merged);
         let mut out = InjectedRead {
-            r_errors: r_bits.len() as u32,
+            r_errors: self.merged.len() as u32,
             stuck_bits: stuck_wrong.len() as u32,
             ..InjectedRead::default()
         };
-        match self.code.decode_error_pattern_with_erasures(&r_bits, erased) {
+        match self.code.decode_error_pattern_with_erasures(&self.merged, erased) {
             PatternOutcome::Clean => {}
             PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
             PatternOutcome::Miscorrected => out.silent_corruption = true,
             PatternOutcome::Detected if !self.escalate => out.detected_uncorrectable = true,
             PatternOutcome::Detected => {
                 out.escalated = true;
-                let m_bits = merge_stuck(&faults.m_bits, stuck_wrong, erased);
-                out.m_errors = m_bits.len() as u32;
-                match self.code.decode_error_pattern_with_erasures(&m_bits, erased) {
+                merge_stuck(&self.faults.m_bits, stuck_wrong, erased, &mut self.merged);
+                out.m_errors = self.merged.len() as u32;
+                match self.code.decode_error_pattern_with_erasures(&self.merged, erased) {
                     PatternOutcome::Clean => out.needs_rewrite = true,
                     PatternOutcome::Corrected(n) => {
                         out.corrected_bits = n as u32;
@@ -184,14 +193,14 @@ impl FaultInjector {
         stuck_wrong: &[u16],
         erased: &[u16],
     ) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
-        let m_bits = merge_stuck(&faults.m_bits, stuck_wrong, erased);
+        self.sample(age_s);
+        merge_stuck(&self.faults.m_bits, stuck_wrong, erased, &mut self.merged);
         let mut out = InjectedRead {
-            m_errors: m_bits.len() as u32,
+            m_errors: self.merged.len() as u32,
             stuck_bits: stuck_wrong.len() as u32,
             ..InjectedRead::default()
         };
-        match self.code.decode_error_pattern_with_erasures(&m_bits, erased) {
+        match self.code.decode_error_pattern_with_erasures(&self.merged, erased) {
             PatternOutcome::Clean => {}
             PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
             PatternOutcome::Detected => out.detected_uncorrectable = true,
@@ -204,12 +213,12 @@ impl FaultInjector {
     /// One direct M-read (LWT's untracked path: R-sensing is skipped by
     /// the flag check, the line is read with M outright).
     pub fn read_m_at(&mut self, age_s: f64) -> InjectedRead {
-        let faults = self.model.sample_line(age_s, FULL_LINE_CELLS, &mut self.rng);
+        self.sample(age_s);
         let mut out = InjectedRead {
-            m_errors: faults.m_bits.len() as u32,
+            m_errors: self.faults.m_bits.len() as u32,
             ..InjectedRead::default()
         };
-        match self.code.decode_error_pattern(&faults.m_bits) {
+        match self.code.decode_error_pattern(&self.faults.m_bits) {
             PatternOutcome::Clean => {}
             PatternOutcome::Corrected(n) => out.corrected_bits = n as u32,
             PatternOutcome::Detected => out.detected_uncorrectable = true,
@@ -217,6 +226,13 @@ impl FaultInjector {
         }
         self.publish(&out);
         out
+    }
+
+    /// Samples one full line's fault pattern at `age_s` into the reused
+    /// buffer.
+    fn sample(&mut self, age_s: f64) {
+        self.model
+            .sample_line_into(age_s, FULL_LINE_CELLS, &mut self.rng, &mut self.faults);
     }
 
     /// Publishes the read's outcome into the telemetry metrics registry —
@@ -237,10 +253,10 @@ impl FaultInjector {
 /// Overlays a line's stuck-at bits on a sampled drift pattern: drift bits
 /// landing on erased positions are dropped (dead silicon does not drift —
 /// the cell reads its stuck value whatever was programmed) and the dead
-/// cells' wrong bits merged in. All three inputs are ascending; so is the
-/// result.
-fn merge_stuck(drift: &[u16], stuck_wrong: &[u16], erased: &[u16]) -> Vec<u16> {
-    let mut out = Vec::with_capacity(drift.len() + stuck_wrong.len());
+/// cells' wrong bits merged in, overwriting `out`. All three inputs are
+/// ascending; so is the result.
+fn merge_stuck(drift: &[u16], stuck_wrong: &[u16], erased: &[u16], out: &mut Vec<u16>) {
+    out.clear();
     let mut stuck = stuck_wrong.iter().copied().peekable();
     for &b in drift.iter().filter(|b| erased.binary_search(b).is_err()) {
         while let Some(&s) = stuck.peek() {
@@ -254,7 +270,6 @@ fn merge_stuck(drift: &[u16], stuck_wrong: &[u16], erased: &[u16]) -> Vec<u16> {
         out.push(b);
     }
     out.extend(stuck);
-    out
 }
 
 #[cfg(test)]

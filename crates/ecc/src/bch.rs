@@ -63,8 +63,9 @@ impl Bch {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters do not fit: `data_bits + parity` must not
-    /// exceed the natural length `2^m − 1`.
+    /// Panics if the parameters do not fit: `t` must be between 1 and 32,
+    /// and `data_bits + parity` must not exceed the natural length
+    /// `2^m − 1`.
     ///
     /// ```
     /// use readduo_ecc::Bch;
@@ -75,6 +76,10 @@ impl Bch {
     /// assert_eq!(code.guaranteed_detection(), 16);
     /// ```
     pub fn new(m: u32, t: u32, data_bits: usize) -> Self {
+        assert!(
+            (t as usize) <= MAX_T,
+            "BCH correction capability must be at most {MAX_T}, got {t}"
+        );
         let field = GfField::new(m);
         let generator = BinPoly::bch_generator(&field, t);
         let parity_bits = generator.degree().expect("generator is nonzero");
@@ -186,12 +191,14 @@ impl Bch {
         }
     }
 
-    /// Computes the 2t syndromes `S_i = r(α^i)`.
-    fn syndromes(&self, cw: &BitVec) -> Vec<u32> {
-        let mut s = vec![0u32; 2 * self.t as usize];
-        for bit in cw.ones() {
+    /// The 2t syndromes `S_i = r(α^i)` of the word whose set bits are
+    /// `bits`. Entries past `2t` stay zero.
+    fn syndromes(&self, bits: impl IntoIterator<Item = usize>) -> Syndromes {
+        let mut s = [0u32; 2 * MAX_T];
+        let two_t = 2 * self.t as usize;
+        for bit in bits {
             let p = self.poly_position(bit) as u64;
-            for (i, slot) in s.iter_mut().enumerate() {
+            for (i, slot) in s[..two_t].iter_mut().enumerate() {
                 *slot ^= self.field.alpha_pow((i as u64 + 1) * p);
             }
         }
@@ -218,45 +225,54 @@ impl Bch {
             "codeword must be {} bits",
             self.codeword_bits()
         );
-        let synd = self.syndromes(cw);
+        match self.verdict(&self.syndromes(cw.iter_ones())) {
+            Verdict::Clean => DecodeOutcome::Clean,
+            Verdict::Detected => DecodeOutcome::Detected,
+            Verdict::Flips(flips) => {
+                for b in bits_of(flips.bits()) {
+                    cw.flip(b);
+                }
+                DecodeOutcome::Corrected(flips.len)
+            }
+        }
+    }
+
+    /// What the decoder makes of a received word with syndromes `synd`.
+    ///
+    /// Berlekamp–Massey finds the error locator σ(x) and a Chien search
+    /// over the *stored* positions finds its roots; roots landing in the
+    /// shortened-away region, or fewer roots than σ's degree, mean the
+    /// pattern is uncorrectable. As a safety net the flips must cancel
+    /// the syndromes (by linearity, the corrected word's syndromes are
+    /// `synd` XOR the flips'); a miscorrection onto a non-codeword is
+    /// downgraded to `Detected`. Allocates nothing.
+    fn verdict(&self, synd: &Syndromes) -> Verdict {
         if synd.iter().all(|&s| s == 0) {
-            return DecodeOutcome::Clean;
+            return Verdict::Clean;
         }
-        // Berlekamp–Massey: find the error locator σ(x).
-        let sigma = match self.berlekamp_massey(&synd) {
-            Some(s) => s,
-            None => return DecodeOutcome::Detected,
+        let Some((sigma, deg)) = self.berlekamp_massey(&synd[..2 * self.t as usize]) else {
+            return Verdict::Detected;
         };
-        let deg = sigma.len() - 1;
         if deg == 0 || deg > self.t as usize {
-            return DecodeOutcome::Detected;
+            return Verdict::Detected;
         }
-        // Chien search over the *stored* positions only; roots landing in
-        // the shortened-away region mean the pattern is uncorrectable.
-        let mut error_bits = Vec::with_capacity(deg);
+        let mut flips = Flips { bits: [0; MAX_T], len: 0 };
         let n_natural = self.field.order() as u64;
         for poly_pos in 0..self.codeword_bits() {
             // σ(α^{-p}) == 0 ⇔ error at polynomial position p.
             let x = self.field.alpha_pow(n_natural - poly_pos as u64 % n_natural);
-            if self.eval_gf_poly(&sigma, x) == 0 {
-                error_bits.push(self.bit_position(poly_pos));
+            if self.eval_gf_poly(&sigma[..=deg], x) == 0 {
+                if flips.len == deg {
+                    return Verdict::Detected;
+                }
+                flips.bits[flips.len] = self.bit_position(poly_pos) as u16;
+                flips.len += 1;
             }
         }
-        if error_bits.len() != deg {
-            return DecodeOutcome::Detected;
+        if flips.len != deg || self.syndromes(bits_of(flips.bits())) != *synd {
+            return Verdict::Detected;
         }
-        for &b in &error_bits {
-            cw.flip(b);
-        }
-        // Safety net: verify the corrected word. A miscorrection onto a
-        // non-codeword is downgraded to Detected (and the flips undone).
-        if self.syndromes(cw).iter().any(|&s| s != 0) {
-            for &b in &error_bits {
-                cw.flip(b);
-            }
-            return DecodeOutcome::Detected;
-        }
-        DecodeOutcome::Corrected(deg)
+        Verdict::Flips(flips)
     }
 
     /// Pure detection: are the syndromes nonzero?
@@ -264,7 +280,7 @@ impl Bch {
     /// This is the cheap "scan for drift errors" step scrubbing performs
     /// before deciding whether to rewrite a line.
     pub fn detect(&self, cw: &BitVec) -> bool {
-        self.syndromes(cw).iter().any(|&s| s != 0)
+        self.syndromes(cw.iter_ones()).iter().any(|&s| s != 0)
     }
 
     /// Decodes an *error pattern* — the set of flipped codeword bit
@@ -280,43 +296,41 @@ impl Bch {
     /// [`PatternOutcome::Miscorrected`] — silent corruption — rather than
     /// a success.
     ///
+    /// Allocates nothing for an ascending pattern (what fault injection
+    /// produces); other orders pay for one bitmap to find repeats.
+    ///
     /// # Panics
     ///
     /// Panics if any position is out of codeword range or repeated.
     pub fn decode_error_pattern(&self, positions: &[u16]) -> PatternOutcome {
-        // An empty pattern is the zero codeword: syndromes are zero by
-        // construction, so skip materialising the word. This is the
-        // overwhelmingly common case under fault injection (young lines
-        // return no wrong bits) and the decode consumes no randomness, so
-        // the shortcut is observationally identical.
-        if positions.is_empty() {
+        self.validate(positions, "error");
+        self.pattern_outcome(positions.len(), || self.syndromes(bits_of(positions)))
+    }
+
+    /// The verdict on a validated error pattern of `weight` bits whose
+    /// syndromes `synd` computes.
+    fn pattern_outcome(&self, weight: usize, synd: impl FnOnce() -> Syndromes) -> PatternOutcome {
+        // An empty pattern is the zero codeword. This is the overwhelmingly
+        // common case under fault injection (young lines return no wrong
+        // bits).
+        if weight == 0 {
             return PatternOutcome::Clean;
-        }
-        let mut cw = BitVec::zeros(self.codeword_bits());
-        for &p in positions {
-            assert!(
-                (p as usize) < self.codeword_bits(),
-                "error position {p} outside {}-bit codeword",
-                self.codeword_bits()
-            );
-            assert!(!cw.get(p as usize), "error position {p} repeated");
-            cw.set(p as usize, true);
         }
         // The BCH bound: designed distance 2t + 1 means any weight-≤t
         // pattern decodes back to the true codeword, so Berlekamp–Massey
         // and the Chien search could only confirm it. This also covers
-        // both trials of the erasure decode, which comes through here.
-        if positions.len() <= self.t as usize {
-            return PatternOutcome::Corrected(positions.len());
+        // both trials of the erasure decode.
+        if weight <= self.t as usize {
+            return PatternOutcome::Corrected(weight);
         }
-        match self.decode(&mut cw) {
+        match self.verdict(&synd()) {
             // A nonzero pattern with all-zero syndromes IS another
             // codeword: the errors are invisible and the data is wrong.
-            DecodeOutcome::Clean => PatternOutcome::Miscorrected,
-            DecodeOutcome::Corrected(n) if cw.count_ones() == 0 => PatternOutcome::Corrected(n),
-            // Decoder "corrected" onto a codeword other than the true one.
-            DecodeOutcome::Corrected(_) => PatternOutcome::Miscorrected,
-            DecodeOutcome::Detected => PatternOutcome::Detected,
+            Verdict::Clean => PatternOutcome::Miscorrected,
+            // The decoder flips at most t < weight bits, so it lands on a
+            // codeword other than the true (zero) one.
+            Verdict::Flips(_) => PatternOutcome::Miscorrected,
+            Verdict::Detected => PatternOutcome::Detected,
         }
     }
 
@@ -344,6 +358,9 @@ impl Bch {
     /// a codeword other than the true one, and
     /// [`PatternOutcome::Detected`] when both trials fail detectably.
     ///
+    /// Allocates nothing for ascending lists, like
+    /// [`decode_error_pattern`](Self::decode_error_pattern).
+    ///
     /// # Panics
     ///
     /// Panics if any error or erasure position is out of codeword range
@@ -354,60 +371,68 @@ impl Bch {
         errors: &[u16],
         erasures: &[u16],
     ) -> PatternOutcome {
-        // Validate both lists (and build trial 1's pattern) up front, so
-        // bad inputs panic whether or not the second trial runs.
-        let flipped = self.flip_erased(errors, erasures);
-        match self.decode_error_pattern(errors) {
+        // Validate both lists up front, so bad inputs panic whether or not
+        // the second trial runs.
+        self.validate(errors, "error");
+        self.validate(erasures, "erasure");
+        match self.pattern_outcome(errors.len(), || self.syndromes(bits_of(errors))) {
             out @ (PatternOutcome::Clean
             | PatternOutcome::Corrected(_)
             | PatternOutcome::Miscorrected) => out,
-            PatternOutcome::Detected => match self.decode_error_pattern(&flipped) {
-                // Trial 1 reaching the true codeword repairs every wrong
-                // bit: the erasure flips plus the decoder's own flips
-                // cancel `errors` exactly. (`Clean` here means the flips
-                // alone did it: every erased bit was wrong and nothing
-                // else — `errors == erasures` as sets.)
-                PatternOutcome::Clean | PatternOutcome::Corrected(_) => {
-                    PatternOutcome::Corrected(errors.len())
+            PatternOutcome::Detected => {
+                // Trial 1's residual pattern is the symmetric difference
+                // of the two lists: its weight drops twice per overlap,
+                // and by linearity its syndromes are the XOR of theirs.
+                let overlap = errors.iter().filter(|p| erasures.contains(p)).count();
+                let weight = errors.len() + erasures.len() - 2 * overlap;
+                let synd = || {
+                    let mut s = self.syndromes(bits_of(errors));
+                    let e = self.syndromes(bits_of(erasures));
+                    s.iter_mut().zip(e).for_each(|(a, b)| *a ^= b);
+                    s
+                };
+                match self.pattern_outcome(weight, synd) {
+                    // Trial 1 reaching the true codeword repairs every
+                    // wrong bit: the erasure flips plus the decoder's own
+                    // flips cancel `errors` exactly. (`Clean` here means
+                    // the flips alone did it: every erased bit was wrong
+                    // and nothing else — `errors == erasures` as sets.)
+                    PatternOutcome::Clean | PatternOutcome::Corrected(_) => {
+                        PatternOutcome::Corrected(errors.len())
+                    }
+                    PatternOutcome::Miscorrected => PatternOutcome::Miscorrected,
+                    PatternOutcome::Detected => PatternOutcome::Detected,
                 }
-                PatternOutcome::Miscorrected => PatternOutcome::Miscorrected,
-                PatternOutcome::Detected => PatternOutcome::Detected,
-            },
+            }
         }
     }
 
-    /// Validates `errors` and `erasures` and returns their symmetric
-    /// difference, ascending: the residual pattern after flipping every
-    /// erased bit of the received word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a position is out of range or repeated within its list.
-    fn flip_erased(&self, errors: &[u16], erasures: &[u16]) -> Vec<u16> {
+    /// Panics unless every position is inside the codeword and none
+    /// repeats; `what` names the list in the message. Strictly ascending
+    /// lists are checked in place; others pay for a bitmap.
+    fn validate(&self, positions: &[u16], what: &str) {
         let n = self.codeword_bits();
-        let mut mark = vec![false; n];
-        for &p in errors {
-            assert!((p as usize) < n, "error position {p} outside {n}-bit codeword");
-            assert!(!mark[p as usize], "error position {p} repeated");
-            mark[p as usize] = true;
+        for &p in positions {
+            assert!((p as usize) < n, "{what} position {p} outside {n}-bit codeword");
         }
-        let mut seen = vec![false; n];
-        for &p in erasures {
-            assert!((p as usize) < n, "erasure position {p} outside {n}-bit codeword");
-            assert!(!seen[p as usize], "erasure position {p} repeated");
-            seen[p as usize] = true;
-            mark[p as usize] = !mark[p as usize];
+        if positions.windows(2).all(|w| w[0] < w[1]) {
+            return;
         }
-        (0..n).filter(|&i| mark[i]).map(|i| i as u16).collect()
+        let mut seen = BitVec::zeros(n);
+        for &p in positions {
+            assert!(!seen.get(p as usize), "{what} position {p} repeated");
+            seen.set(p as usize, true);
+        }
     }
 
-    /// Berlekamp–Massey over GF(2^m). Returns σ as a coefficient vector
-    /// (σ[0] = 1), or `None` on an internal inconsistency.
-    fn berlekamp_massey(&self, synd: &[u32]) -> Option<Vec<u32>> {
+    /// Berlekamp–Massey over GF(2^m). Returns σ's coefficients (σ[0] = 1,
+    /// zero past its degree) and its degree, or `None` on an internal
+    /// inconsistency.
+    fn berlekamp_massey(&self, synd: &[u32]) -> Option<([u32; 2 * MAX_T + 1], usize)> {
         let f = &self.field;
         let n = synd.len();
-        let mut sigma = vec![0u32; n + 1];
-        let mut prev = vec![0u32; n + 1];
+        let mut sigma = [0u32; 2 * MAX_T + 1];
+        let mut prev = [0u32; 2 * MAX_T + 1];
         sigma[0] = 1;
         prev[0] = 1;
         let mut l = 0usize; // current register length
@@ -424,8 +449,8 @@ impl Bch {
                 continue;
             }
             let coef = f.div(d, b);
-            let mut next = sigma.clone();
-            for (i, &pc) in prev.iter().enumerate() {
+            let mut next = sigma;
+            for (i, &pc) in prev[..=n].iter().enumerate() {
                 if pc != 0 && i + mshift <= n {
                     next[i + mshift] ^= f.mul(coef, pc);
                 }
@@ -440,14 +465,9 @@ impl Bch {
             }
             sigma = next;
         }
-        // Trim to actual degree.
-        let deg = sigma.iter().rposition(|&c| c != 0)?;
-        if deg != l {
-            // Degree/length mismatch signals > t errors.
-            return None;
-        }
-        sigma.truncate(deg + 1);
-        Some(sigma)
+        let deg = sigma[..=n].iter().rposition(|&c| c != 0)?;
+        // Degree/length mismatch signals > t errors.
+        (deg == l).then_some((sigma, deg))
     }
 
     /// Evaluates a GF(2^m)-coefficient polynomial at `x` (Horner).
@@ -458,6 +478,37 @@ impl Bch {
         }
         acc
     }
+}
+
+/// Largest correction capability the decoder's fixed-size scratch
+/// supports.
+const MAX_T: usize = 32;
+
+/// The 2t syndromes of a word, zero-padded to `2·MAX_T`.
+type Syndromes = [u32; 2 * MAX_T];
+
+/// The decoder's verdict on a word (see [`Bch::verdict`]).
+enum Verdict {
+    Clean,
+    Flips(Flips),
+    Detected,
+}
+
+/// Up to `t` codeword bit positions the decoder flips.
+struct Flips {
+    bits: [u16; MAX_T],
+    len: usize,
+}
+
+impl Flips {
+    fn bits(&self) -> &[u16] {
+        &self.bits[..self.len]
+    }
+}
+
+/// Codeword bit indices of a position list.
+fn bits_of(positions: &[u16]) -> impl Iterator<Item = usize> + '_ {
+    positions.iter().map(|&p| p as usize)
 }
 
 #[cfg(test)]
@@ -707,6 +758,31 @@ mod tests {
             assert_eq!(
                 code.decode_error_pattern_with_erasures(&errors, &[]),
                 code.decode_error_pattern(&errors),
+                "len={len}"
+            );
+        }
+    }
+
+    #[test]
+    fn pattern_decodes_do_not_depend_on_list_order() {
+        // Ascending lists validate in place; other orders go through the
+        // bitmap. The verdicts must agree, with and without erasures.
+        let code = paper_code();
+        let mut rng = StdRng::seed_from_u64(22);
+        for len in 0..=24 {
+            let errors = random_positions(&mut rng, len, code.codeword_bits());
+            let erasures = random_positions(&mut rng, len % 9, code.codeword_bits());
+            let (mut e_sorted, mut f_sorted) = (errors.clone(), erasures.clone());
+            e_sorted.sort_unstable();
+            f_sorted.sort_unstable();
+            assert_eq!(
+                code.decode_error_pattern(&errors),
+                code.decode_error_pattern(&e_sorted),
+                "len={len}"
+            );
+            assert_eq!(
+                code.decode_error_pattern_with_erasures(&errors, &erasures),
+                code.decode_error_pattern_with_erasures(&e_sorted, &f_sorted),
                 "len={len}"
             );
         }

@@ -113,16 +113,21 @@ impl BitVec {
 
     /// Indices of set bits, ascending.
     pub fn ones(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (wi, &w) in self.words.iter().enumerate() {
+        self.iter_ones().collect()
+    }
+
+    /// Indices of set bits, ascending, without collecting them.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(wi * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    wi * 64 + b
+                })
+            })
+        })
     }
 
     /// XOR with another vector of the same length; returns the Hamming

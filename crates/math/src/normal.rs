@@ -139,17 +139,39 @@ impl Normal {
     }
 
     /// Draws one sample using the polar Box–Muller transform.
+    ///
+    /// Equivalent to [`draw_polar`](Self::draw_polar) followed by
+    /// [`from_polar`](Self::from_polar).
     pub fn sample<R: readduo_rng::Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let (v, s) = Self::draw_polar(rng);
+        self.from_polar(v, s)
+    }
+
+    /// The accepted point [`sample`](Self::sample) draws: `(v, s)` with
+    /// `v` the coordinate that becomes the deviate and `s = v² + w²` its
+    /// squared radius, `0 < s < 1`.
+    ///
+    /// Callers that split a sample into "draw" and "transform" (to decide
+    /// a threshold test before paying for the `ln`/`sqrt`) use this to
+    /// consume the generator exactly as `sample` does.
+    pub fn draw_polar<R: readduo_rng::Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
         // Polar method: rejection-free of trig, numerically benign.
         loop {
-            let u: f64 = rng.gen_range(-1.0..1.0);
             let v: f64 = rng.gen_range(-1.0..1.0);
-            let s = u * u + v * v;
+            let w: f64 = rng.gen_range(-1.0..1.0);
+            let s = v * v + w * w;
             if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                return self.mu + self.sigma * u * factor;
+                return (v, s);
             }
         }
+    }
+
+    /// The sample the polar point `(v, s)` transforms to:
+    /// `mu + sigma·v·sqrt(−2 ln s / s)`.
+    #[inline]
+    pub fn from_polar(&self, v: f64, s: f64) -> f64 {
+        let factor = (-2.0 * s.ln() / s).sqrt();
+        self.mu + self.sigma * v * factor
     }
 }
 

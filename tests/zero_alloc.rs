@@ -15,6 +15,11 @@
 //!   warm-device trick does not apply; instead the op count is doubled
 //!   and the allocation count must stay flat (setup + per-run warm-up
 //!   only, nothing per-op).
+//! * **faulty** — Hybrid with Monte-Carlo fault injection and an old
+//!   cold-line age, so reads sample real error patterns, decode them with
+//!   BCH-8 and escalate. Fresh devices again, so the op count is doubled
+//!   and the allocation count must stay flat: the sampled patterns and
+//!   the decode's scratch live in reused buffers.
 //!
 //! The counting allocator lives only in this integration-test binary —
 //! library crates stay `forbid(unsafe_code)`.
@@ -62,6 +67,15 @@ fn toy_trace(seed: u64, instructions: u64) -> Trace {
 
 fn hybrid(seed: u64) -> HybridScheme {
     HybridScheme::paper(seed).reserve_lines(Workload::toy().footprint_lines)
+}
+
+/// Hybrid whose never-written lines are a day old (well past the 640 s
+/// scrub interval's error-free regime), with fault injection attached.
+fn faulty_hybrid(seed: u64) -> HybridScheme {
+    HybridScheme::paper(seed)
+        .with_cold_age(1.0e5)
+        .reserve_lines(Workload::toy().footprint_lines)
+        .with_fault_injection(seed ^ 0xFA17)
 }
 
 // One test function, sequential legs: the counter is process-global and
@@ -121,5 +135,30 @@ fn steady_state_engine_loop_does_not_allocate() {
         delta_big < delta_small + delta_small / 2,
         "sharded allocations scale with ops: {delta_small} @ {ops_small} ops \
          vs {delta_big} @ {ops_big} ops"
+    );
+
+    // ---- faulty: doubling the errored reads must not move the count --
+    let faulty_run = |t: &Trace| {
+        let mut dev = faulty_hybrid(13);
+        let before = allocs();
+        let rep = sim.run(t, &mut dev);
+        (allocs() - before, rep.reads, dev.counters())
+    };
+    let (delta_small, reads_small, c_small) = faulty_run(&toy_trace(13, 850_000));
+    let (delta_big, reads_big, c_big) = faulty_run(&toy_trace(13, 1_700_000));
+    eprintln!(
+        "zero_alloc: faulty {delta_small} allocations @ {reads_small} reads \
+         ({} escalated), {delta_big} @ {reads_big} ({} escalated)",
+        c_small.rm_reads, c_big.rm_reads
+    );
+    assert!(reads_big >= 2 * reads_small - reads_small / 10, "trace sizing drifted");
+    assert!(c_small.rm_reads > 100, "the faulty leg must escalate reads");
+    // Each errored read used to allocate its sampled pattern and every
+    // decode its codeword and scratch (tens of thousands here). What is
+    // left is the per-run setup plus a few buffer growths.
+    assert!(
+        delta_big <= delta_small + 50 && delta_big < 2_000,
+        "faulty allocations scale with reads: {delta_small} @ {reads_small} reads \
+         vs {delta_big} @ {reads_big} reads"
     );
 }
