@@ -7,11 +7,11 @@
 //! execution overhead — at naive latency, M-metric-only is worse than the
 //! W=0 scrubbing it was meant to replace.
 
-use readduo_bench::{render_table, write_csv, Harness};
-use readduo_core::{DeviceHints, DeviceSpec, MMetricScheme, SchemeKind};
+use readduo_bench::{render_table, write_csv, Harness, Source};
+use readduo_core::{MMetricScheme, SchemeKind};
 use readduo_memsim::{DeviceModel, Simulator};
 use readduo_pcm::SenseTiming;
-use readduo_trace::{TraceGenerator, Workload};
+use readduo_trace::Workload;
 
 /// An M-metric device with an overridden sensing latency.
 struct SlowM {
@@ -52,25 +52,28 @@ fn main() {
 
     let mut header: Vec<String> = vec!["M-read latency".into()];
     header.extend(workloads.iter().map(|w| w.to_string()));
+    // Each workload's trace and its Ideal run, shared by every latency.
+    let bases: Vec<_> = workloads
+        .iter()
+        .map(|name| {
+            let w = Workload::by_name(name).expect("known workload");
+            let trace = harness.trace_for(&w);
+            let ideal = harness
+                .run(&w, &SchemeKind::Ideal.into(), Source::Trace(&trace))
+                .expect("a bare scheme is always a valid spec");
+            (trace, ideal.report.exec_ns)
+        })
+        .collect();
     let mut rows = Vec::new();
     for (label, lat) in latencies {
         let mut row = vec![format!("{label} ({lat} ns)")];
-        for name in workloads {
-            let w = Workload::by_name(name).expect("known workload");
-            let trace =
-                TraceGenerator::new(harness.seed).generate(&w, harness.instructions_per_core, 4);
-            let hints = DeviceHints {
-                warm_boundary: (w.footprint_lines as f64 * w.locality.written_fraction) as u64,
-                footprint_lines: w.footprint_lines,
-            };
-            let mut ideal = DeviceSpec::from(SchemeKind::Ideal).build(harness.seed, 0, 1, hints);
-            let base = sim.run(&trace, ideal.as_mut());
+        for (trace, base_exec_ns) in &bases {
             let mut dev = SlowM {
                 inner: MMetricScheme::paper(harness.seed),
                 m_read_ns: lat,
             };
-            let rep = sim.run(&trace, &mut dev);
-            row.push(format!("{:.3}", rep.exec_ns as f64 / base.exec_ns as f64));
+            let rep = sim.run(trace, &mut dev);
+            row.push(format!("{:.3}", rep.exec_ns as f64 / *base_exec_ns as f64));
         }
         rows.push(row);
     }

@@ -19,9 +19,12 @@
 //! capacity and threshold are the swept dimensions, so
 //! `READDUO_DRAM_LINES` / `READDUO_DRAM_THRESHOLD` are ignored here.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness, Source};
+use readduo_bench::{
+    finish_telemetry, handle_help, render_table, write_csv, Harness, MatrixSource,
+};
 use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_dram::DramConfig;
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 /// DRAM capacities swept (lines of 64 B; 1024 lines = 64 KB per channel
@@ -66,31 +69,50 @@ fn main() {
     ]
     .map(String::from)
     .to_vec();
+    // The first spec is a zero-capacity tier, which runs the bare scheme
+    // device: the plain run every tiered row normalises against. Then one
+    // spec per (capacity, threshold) grid point.
+    let grid: Vec<DramConfig> = CAPACITIES
+        .iter()
+        .flat_map(|&cap| {
+            THRESHOLDS.iter().map(move |&thr| {
+                DramConfig::new(harness.seed, cap)
+                    .tuned_from_env()
+                    .with_threshold(thr)
+            })
+        })
+        .collect();
+    let bare = DramConfig {
+        lines: 0,
+        ..DramConfig::new(harness.seed, 1)
+    };
+    let specs: Vec<DeviceSpec> = std::iter::once(bare)
+        .chain(grid.iter().copied())
+        .map(|dram| DeviceSpec {
+            dram: Some(dram),
+            ..scheme.into()
+        })
+        .collect();
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("a tier fits every scheme");
+
     let mut rows: Vec<Vec<String>> = Vec::new();
     // Per-grid-point aggregates over the workload matrix.
-    let npoints = CAPACITIES.len() * THRESHOLDS.len();
-    let mut agg_hit = vec![0.0f64; npoints];
-    let mut agg_cells_ratio = vec![0.0f64; npoints];
-    let mut agg_rm_shift = vec![0.0f64; npoints];
-
-    for w in &workloads {
-        let trace = harness.trace_for(w);
-        let tiered = |dram| {
-            let spec = DeviceSpec { dram: Some(dram), ..scheme.into() };
-            harness.run(w, &spec, Source::Trace(&trace)).expect("a tier fits every scheme")
-        };
-        // A zero-capacity config runs the bare scheme device — the plain
-        // run every tiered row normalises against.
-        let base = tiered(DramConfig { lines: 0, ..DramConfig::new(harness.seed, 1) });
-        let base_cells = base.report.cells_written_total().max(1);
-        let base_rm = base.report.rm_read_rate();
-        for (pi, (&cap, &thr)) in CAPACITIES
-            .iter()
-            .flat_map(|c| THRESHOLDS.iter().map(move |t| (c, t)))
-            .enumerate()
-        {
-            let dram = DramConfig::new(harness.seed, cap).tuned_from_env().with_threshold(thr);
-            let r = tiered(dram);
+    let mut agg_hit = vec![0.0f64; grid.len()];
+    let mut agg_cells_ratio = vec![0.0f64; grid.len()];
+    let mut agg_rm_shift = vec![0.0f64; grid.len()];
+    // One row of `specs.len()` results per workload, in spec order.
+    for (w, row) in workloads.iter().zip(results.chunks(specs.len())) {
+        let base = &row[0].report;
+        let base_cells = base.cells_written_total().max(1);
+        let base_rm = base.rm_read_rate();
+        for (pi, (dram, r)) in grid.iter().zip(&row[1..]).enumerate() {
             let rep = &r.report;
             let ratio = rep.cells_written_total() as f64 / base_cells as f64;
             agg_hit[pi] += rep.dram_hit_rate();
@@ -98,8 +120,8 @@ fn main() {
             agg_rm_shift[pi] += base_rm - rep.rm_read_rate();
             rows.push(vec![
                 w.name.to_string(),
-                cap.to_string(),
-                thr.to_string(),
+                dram.lines.to_string(),
+                dram.threshold.to_string(),
                 format!("{:.4}", rep.dram_hit_rate()),
                 rep.dram_promotions.to_string(),
                 rep.dram_demotions.to_string(),
@@ -122,14 +144,12 @@ fn main() {
 
     println!("\nPer grid point, averaged over {} workloads:", workloads.len());
     let n = workloads.len() as f64;
-    for (pi, (&cap, &thr)) in CAPACITIES
-        .iter()
-        .flat_map(|c| THRESHOLDS.iter().map(move |t| (c, t)))
-        .enumerate()
-    {
+    for (pi, dram) in grid.iter().enumerate() {
         println!(
-            "  {cap:>6} lines, threshold {thr}: hit rate {:.3}, cells vs base {:.3}, \
+            "  {:>6} lines, threshold {}: hit rate {:.3}, cells vs base {:.3}, \
              escalation-rate shift {:+.5}",
+            dram.lines,
+            dram.threshold,
             agg_hit[pi] / n,
             agg_cells_ratio[pi] / n,
             -agg_rm_shift[pi] / n,

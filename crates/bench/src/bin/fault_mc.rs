@@ -19,10 +19,13 @@
 //! `READDUO_FAULT_SEED` seeds the fault streams; `READDUO_FAULT_MC_LINES`
 //! sets the Monte-Carlo sample size (default 20 000 lines per point).
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
+use readduo_bench::{
+    finish_telemetry, handle_help, render_table, write_csv, Harness, MatrixSource,
+};
 use readduo_core::{DeviceSpec, FaultInjector, HybridScheme, SchemeKind};
 use readduo_memsim::{MemoryConfig, Simulator};
 use readduo_pcm::{FaultModel, MetricConfig};
+use readduo_pool::Pool;
 use readduo_reliability::{CellErrorModel, LerAnalysis};
 use readduo_rng::rngs::StdRng;
 use readduo_rng::SeedableRng;
@@ -147,10 +150,25 @@ fn main() {
         memory: MemoryConfig::small_test(),
     };
     let toy = Workload::toy();
-    println!("\nend-to-end faulty runs (toy workload, {} instr/core):", h.instructions_per_core);
-    for scheme in [SchemeKind::Scrubbing, SchemeKind::Hybrid, SchemeKind::Lwt { k: 4 }] {
-        let spec = DeviceSpec { faults: Some(seed ^ 2), ..scheme.into() };
-        let r = h.run_one(&toy, &spec).expect("scheme supports fault injection");
+    println!(
+        "\nend-to-end faulty runs (toy workload, {} instr/core):",
+        h.instructions_per_core
+    );
+    let specs = [
+        SchemeKind::Scrubbing,
+        SchemeKind::Hybrid,
+        SchemeKind::Lwt { k: 4 },
+    ]
+    .map(|scheme| DeviceSpec {
+        faults: Some(seed ^ 2),
+        ..scheme.into()
+    });
+    let toys = std::slice::from_ref(&toy);
+    let runs = h
+        .run_matrix(&Pool::from_env(), &specs, toys, MatrixSource::Materialised)
+        .expect("every scheme supports fault injection");
+    for r in &runs {
+        let scheme = r.scheme;
         println!(
             "  {:<12} reads {:>7}  errored {:>5}  ecc bits {:>5}  rm {:>4}  corrective {:>3}  \
              detected {:>2}  silent {:>2}",

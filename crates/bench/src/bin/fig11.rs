@@ -1,27 +1,38 @@
 //! Figure 11 — cells per line (normalised to TLC) and the EDAP
 //! (Energy-Delay-Area-Product) comparison.
 
-use readduo_bench::{edap_inputs, render_table, result_for, write_csv, Harness};
-use readduo_core::{EdapInputs, SchemeKind};
+use readduo_bench::{edap_inputs, render_table, write_csv, Harness, MatrixSource};
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_math::geometric_mean;
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
     let harness = Harness::from_env();
-    let schemes = [
+    // TLC first: every product is normalised to it.
+    let specs: Vec<DeviceSpec> = [
         SchemeKind::Tlc,
         SchemeKind::Scrubbing,
         SchemeKind::Lwt { k: 4 },
         SchemeKind::Select { k: 4, s: 2 },
-    ];
+    ]
+    .map(DeviceSpec::from)
+    .to_vec();
     let workloads = Workload::spec2006();
     eprintln!(
         "running {} schemes x {} workloads at {} instr/core …",
-        schemes.len(),
+        specs.len(),
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
 
     // Per-scheme geomean EDAP across workloads, normalised to TLC.
     let header: Vec<String> = vec![
@@ -32,13 +43,13 @@ fn main() {
     ];
     let tlc_cells = SchemeKind::Tlc.storage().area_cells();
     let mut table = Vec::new();
-    for &s in &schemes {
+    for (i, s) in specs.iter().map(|spec| spec.scheme).enumerate() {
         let mut pd = Vec::new();
         let mut ps = Vec::new();
-        for w in &workloads {
-            let base: EdapInputs =
-                edap_inputs(result_for(&results, w.name, SchemeKind::Tlc).unwrap());
-            let mine = edap_inputs(result_for(&results, w.name, s).unwrap());
+        // One row of `specs.len()` results per workload, in spec order.
+        for row in results.chunks(specs.len()) {
+            let base = edap_inputs(&row[0]);
+            let mine = edap_inputs(&row[i]);
             pd.push(mine.product_d(&base));
             ps.push(mine.product_s(&base));
         }

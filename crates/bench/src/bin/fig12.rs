@@ -1,14 +1,16 @@
 //! Figure 12 — sensitivity to the sub-interval count k (LWT-2 vs LWT-4).
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{normalized, render_table, write_csv, Harness, MatrixSource};
+use readduo_core::{DeviceSpec, SchemeKind};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
     let harness = Harness::from_env();
     let k_points: [u8; 3] = [2, 4, 8];
-    let schemes: Vec<SchemeKind> = std::iter::once(SchemeKind::Ideal)
+    let specs: Vec<DeviceSpec> = std::iter::once(SchemeKind::Ideal)
         .chain(k_points.iter().map(|&k| SchemeKind::Lwt { k }))
+        .map(DeviceSpec::from)
         .collect();
     let workloads = Workload::spec2006();
     eprintln!(
@@ -17,16 +19,18 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.sweep(
-        SchemeKind::Ideal,
-        &k_points,
-        |&k| SchemeKind::Lwt { k },
-        &workloads,
-    );
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
+    header.extend(specs.iter().map(|s| s.scheme.label()));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(w, cols)| {

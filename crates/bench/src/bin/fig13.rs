@@ -1,15 +1,17 @@
 //! Figure 13 — sensitivity to the Select rewrite window s
 //! (Select-4:1 vs Select-4:2).
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{normalized, render_table, write_csv, Harness, MatrixSource};
+use readduo_core::{DeviceSpec, SchemeKind};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
     let harness = Harness::from_env();
     let s_points: [u8; 3] = [1, 2, 4];
-    let schemes: Vec<SchemeKind> = std::iter::once(SchemeKind::Ideal)
+    let specs: Vec<DeviceSpec> = std::iter::once(SchemeKind::Ideal)
         .chain(s_points.iter().map(|&s| SchemeKind::Select { k: 4, s }))
+        .map(DeviceSpec::from)
         .collect();
     let workloads = Workload::spec2006();
     eprintln!(
@@ -18,16 +20,18 @@ fn main() {
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.sweep(
-        SchemeKind::Ideal,
-        &s_points,
-        |&s| SchemeKind::Select { k: 4, s },
-        &workloads,
-    );
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.energy_total_pj());
 
     let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
+    header.extend(specs.iter().map(|s| s.scheme.label()));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(w, cols)| {

@@ -1,29 +1,39 @@
 //! Figure 14 — the R-M-read conversion ablation: LWT-4 with and without
 //! converting untracked reads into redundant writes.
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{normalized, render_table, write_csv, Harness, MatrixSource};
+use readduo_core::{DeviceSpec, SchemeKind};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
     let harness = Harness::from_env();
-    let schemes = [
+    let specs: Vec<DeviceSpec> = [
         SchemeKind::Ideal,
         SchemeKind::LwtNoConversion { k: 4 },
         SchemeKind::Lwt { k: 4 },
-    ];
+    ]
+    .map(DeviceSpec::from)
+    .to_vec();
     let workloads = Workload::spec2006();
     eprintln!(
         "running {} schemes x {} workloads at {} instr/core …",
-        schemes.len(),
+        specs.len(),
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
+    header.extend(specs.iter().map(|s| s.scheme.label()));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(w, cols)| {

@@ -1,28 +1,39 @@
 //! Figure 15 — PCM lifetime impact: total cell writes per scheme,
 //! expressed as relative lifetime (inverse write volume, Ideal = 1.0).
 
-use readduo_bench::{normalized, render_table, write_csv, Harness};
-use readduo_core::SchemeKind;
+use readduo_bench::{normalized, render_table, write_csv, Harness, MatrixSource};
+use readduo_core::{DeviceSpec, SchemeKind};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
     let harness = Harness::from_env();
-    let schemes = SchemeKind::headline();
+    let specs: Vec<DeviceSpec> = SchemeKind::headline()
+        .into_iter()
+        .map(DeviceSpec::from)
+        .collect();
     let workloads = Workload::spec2006();
     eprintln!(
         "running {} schemes x {} workloads at {} instr/core …",
-        schemes.len(),
+        specs.len(),
         workloads.len(),
         harness.instructions_per_core
     );
-    let results = harness.run_matrix(&schemes, &workloads);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
     // Lifetime ∝ 1 / cell-write volume.
     let rows = normalized(&results, SchemeKind::Ideal, |r| {
         r.cells_written_total().max(1) as f64
     });
 
     let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
+    header.extend(specs.iter().map(|s| s.scheme.label()));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(w, cols)| {

@@ -13,10 +13,10 @@
 //! the plain figure.
 
 use readduo_bench::{
-    finish_telemetry, handle_help, normalized, render_table, result_for, write_csv, Harness,
-    Source,
+    finish_telemetry, handle_help, normalized, render_table, write_csv, Harness, MatrixSource,
 };
 use readduo_core::{DeviceSpec, SchemeKind};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 fn main() {
@@ -59,45 +59,41 @@ fn main() {
             }
         }
     }
-    let schemes = SchemeKind::headline();
+    // `--dram-lines N` wins; otherwise `READDUO_DRAM=1` enables the tier
+    // at the `READDUO_DRAM_*` organisation. Neither ⇒ the plain figure.
+    let dram = dram_lines
+        .map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env())
+        .or_else(|| readduo_dram::DramConfig::from_env(harness.seed));
+    let specs: Vec<DeviceSpec> = SchemeKind::headline()
+        .into_iter()
+        .map(|s| DeviceSpec { dram, ..s.into() })
+        .collect();
     let workloads = Workload::spec2006();
     eprintln!(
         "running {} schemes x {} workloads at {} instr/core ({} channel(s)) …",
-        schemes.len(),
+        specs.len(),
         workloads.len(),
         harness.instructions_per_core,
         harness.memory.topology.channels
     );
-    // `--dram-lines N` wins; otherwise `READDUO_DRAM=1` enables the tier
-    // at the `READDUO_DRAM_*` organisation. Neither ⇒ the plain figure.
-    let tier = dram_lines
-        .map(|lines| readduo_dram::DramConfig::new(harness.seed, lines).tuned_from_env())
-        .or_else(|| readduo_dram::DramConfig::from_env(harness.seed));
-    let results = match tier {
-        Some(dram) => {
-            // Tiered matrix: each workload's trace is generated once and
-            // replayed through every scheme with the DRAM tier in front.
-            eprintln!(
-                "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",
-                dram.lines, dram.ways, dram.threshold, dram.policy
-            );
-            let mut v = Vec::with_capacity(schemes.len() * workloads.len());
-            for w in &workloads {
-                let trace = harness.trace_for(w);
-                for &s in &schemes {
-                    let spec = DeviceSpec { dram: Some(dram), ..s.into() };
-                    let r = harness.run(w, &spec, Source::Trace(&trace));
-                    v.push(r.expect("a tier fits every scheme"));
-                }
-            }
-            v
-        }
-        None => harness.run_matrix(&schemes, &workloads),
-    };
+    if let Some(dram) = dram {
+        eprintln!(
+            "  DRAM tier: {} lines, {}-way, threshold {}, {:?}",
+            dram.lines, dram.ways, dram.threshold, dram.policy
+        );
+    }
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("a tier fits every scheme");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
 
     let mut header: Vec<String> = vec!["workload".into()];
-    header.extend(schemes.iter().map(|s| s.label()));
+    header.extend(specs.iter().map(|s| s.scheme.label()));
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(w, cols)| {
@@ -120,19 +116,18 @@ fn main() {
 
     // The tail behind the means: per-cell read-latency p99 from the
     // engine's log2 histograms (values are bucket upper bounds, i.e. an
-    // overestimate of the true percentile by at most 2×).
-    let p99_of = |w: &str, s: SchemeKind| -> u64 {
-        result_for(&results, w, s)
-            .unwrap_or_else(|| panic!("missing {s} run for {w}"))
-            .report
-            .read_latency
-            .p99_ns()
-    };
+    // overestimate of the true percentile by at most 2×). One row of
+    // `specs.len()` results per workload, in spec order.
     let p99_table: Vec<Vec<String>> = workloads
         .iter()
-        .map(|w| {
+        .zip(results.chunks(specs.len()))
+        .map(|(w, row_results)| {
             let mut row = vec![w.name.to_string()];
-            row.extend(schemes.iter().map(|&s| p99_of(w.name, s).to_string()));
+            row.extend(
+                row_results
+                    .iter()
+                    .map(|r| r.report.read_latency.p99_ns().to_string()),
+            );
             row
         })
         .collect();
@@ -142,16 +137,17 @@ fn main() {
     // CSV: the normalised table plus one p99 column per scheme (blank on
     // the geomean row — percentiles do not average).
     let mut csv_header = header.clone();
-    csv_header.extend(schemes.iter().map(|s| format!("p99_ns({})", s.label())));
+    csv_header.extend(
+        specs
+            .iter()
+            .map(|s| format!("p99_ns({})", s.scheme.label())),
+    );
     let mut csv = vec![csv_header];
-    for (w, cols) in &rows {
+    let blank = vec![String::new(); specs.len() + 1];
+    for ((w, cols), p99) in rows.iter().zip(p99_table.iter().chain([&blank])) {
         let mut row = vec![w.clone()];
         row.extend(cols.iter().map(|(_, v)| format!("{v:.3}")));
-        if w == "geomean" {
-            row.extend(schemes.iter().map(|_| String::new()));
-        } else {
-            row.extend(schemes.iter().map(|&s| p99_of(w, s).to_string()));
-        }
+        row.extend(p99[1..].iter().cloned());
         csv.push(row);
     }
     write_csv("fig9", &csv);

@@ -22,8 +22,11 @@
 //! same precedence every other binary uses). `READDUO_FAULT_SEED` seeds
 //! the fault and endurance streams.
 
-use readduo_bench::{finish_telemetry, handle_help, render_table, write_csv, Harness};
+use readduo_bench::{
+    finish_telemetry, handle_help, render_table, write_csv, Harness, MatrixSource,
+};
 use readduo_core::{DeviceSpec, SchemeKind, WearConfig};
+use readduo_pool::Pool;
 use readduo_trace::Workload;
 
 /// Accelerated-aging factors swept: real time, onset of verify retries,
@@ -72,17 +75,31 @@ fn main() {
     ]
     .map(String::from)
     .to_vec();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-
-    for scheme in schemes {
-        let mut baseline_cells = 0u64;
-        for accel in ACCELS {
-            let spec = DeviceSpec {
+    // Scheme-major, accel-minor: each scheme's `accel = 1` run comes first.
+    let specs: Vec<DeviceSpec> = schemes
+        .iter()
+        .flat_map(|&scheme| {
+            ACCELS.map(|accel| DeviceSpec {
                 faults: Some(fault_seed),
                 wear: Some(base.with_accel(accel)),
                 ..scheme.into()
-            };
-            let r = harness.run_one(&workload, &spec).expect("injectable scheme");
+            })
+        })
+        .collect();
+    let workloads = std::slice::from_ref(&workload);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            workloads,
+            MatrixSource::Materialised,
+        )
+        .expect("injectable schemes");
+    let mut rows: Vec<Vec<String>> = Vec::new();
+
+    for (scheme, runs) in schemes.iter().zip(results.chunks(ACCELS.len())) {
+        let mut baseline_cells = 0u64;
+        for (accel, r) in ACCELS.into_iter().zip(runs) {
             let rep = &r.report;
             let cells = rep.cells_written_total().max(1);
             if accel == 1 {

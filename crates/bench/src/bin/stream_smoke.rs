@@ -3,18 +3,17 @@
 //! peak RSS stays under a fixed ceiling — the bounded-memory claim of the
 //! streaming replay path, checked rather than assumed.
 //!
-//! With `--matrix` it instead streams the **full** Figure-9 headline
-//! matrix (every scheme × every SPEC2006 workload) — the exact
-//! configuration `bench_sweep` times as `fig9@10M` — so ci.sh can put a
-//! wall-clock budget on the acceptance leg without running the whole
-//! benchmark suite.
+//! With `--matrix` it instead runs the **full** Figure-9 headline matrix
+//! (every scheme × every SPEC2006 workload) as a streamed matrix on one
+//! worker, the `fig9@10M` acceptance configuration, so ci.sh can put a
+//! wall-clock budget on it.
 //!
 //! `READDUO_INSTR` sets the volume (ci.sh runs this at 10M instructions
 //! per core); `READDUO_RSS_CEILING_MB` overrides the ceiling (default
 //! 512 MB).
 
-use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, Source};
-use readduo_core::SchemeKind;
+use readduo_bench::{finish_telemetry, handle_help, peak_rss_bytes, Harness, MatrixSource, Source};
+use readduo_core::{DeviceSpec, SchemeKind};
 use readduo_pool::Pool;
 use readduo_trace::Workload;
 use std::time::Instant;
@@ -38,7 +37,10 @@ fn main() {
             ceiling_mb
         );
         let t = Instant::now();
-        let results = h.run_matrix_streamed_on(&Pool::new(1), &schemes, &workloads);
+        let specs: Vec<DeviceSpec> = schemes.iter().map(|&s| s.into()).collect();
+        let results = h
+            .run_matrix(&Pool::new(1), &specs, &workloads, MatrixSource::Streamed)
+            .expect("bare schemes are valid specs");
         assert_eq!(results.len(), schemes.len() * workloads.len());
         assert!(
             results.iter().all(|r| r.report.reads + r.report.writes > 0),

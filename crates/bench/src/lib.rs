@@ -25,8 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
-
 use readduo_core::{DeviceHints, DeviceSpec, EdapInputs, SchemeKind, SpecError};
 use readduo_memsim::{DeviceModel, MemoryConfig, SimReport, Simulator};
 use readduo_pool::Pool;
@@ -56,6 +54,27 @@ pub enum Source<'a> {
     /// records regardless of instruction count.
     Stream,
 }
+
+/// Where a matrix's memory ops come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatrixSource {
+    /// Generate every workload's trace once, in parallel, then fan the
+    /// workload-major cells out over the pool, each trace shared by all of
+    /// its workload's specs. Peak memory holds every trace at once.
+    Materialised,
+    /// One workload at a time: its trace is materialised and shared by the
+    /// specs when it fits a 128 MB budget, and otherwise each spec streams
+    /// it chunk by chunk ([`Source::Stream`]). At most one workload's trace
+    /// is live at a time, so paper-scale volumes (100M–1B
+    /// instructions/core) stay runnable.
+    Streamed,
+}
+
+/// Per-workload trace-materialisation budget of [`MatrixSource::Streamed`]:
+/// a workload whose estimated trace fits is generated once and shared by
+/// every spec instead of being re-generated per spec. Same reports either
+/// way; only the wall clock and the peak RSS differ.
+const MATRIX_TRACE_BUDGET_BYTES: u64 = 128 << 20;
 
 /// Harness configuration.
 #[derive(Debug, Clone, Copy)]
@@ -88,9 +107,10 @@ impl Harness {
 
     /// Generates the trace for one workload (deterministic in the seed).
     ///
-    /// Traces are the matrix's shared input: `run_matrix` builds each
-    /// workload's trace exactly once and every scheme simulates against
-    /// the same `Arc`.
+    /// Traces are the matrix's shared input: [`run_matrix`] builds each
+    /// workload's trace exactly once and every spec simulates against it.
+    ///
+    /// [`run_matrix`]: Harness::run_matrix
     pub fn trace_for(&self, workload: &Workload) -> Arc<Trace> {
         let _phase = readduo_telemetry::trace::phase(format!("trace-gen/{}", workload.name));
         Arc::new(TraceGenerator::new(self.seed).generate(
@@ -191,101 +211,71 @@ impl Harness {
             .expect("a bare scheme is always a valid spec")
     }
 
-    /// Runs the full `schemes × workloads` matrix on the ambient pool
-    /// ([`Pool::from_env`]; `READDUO_THREADS=1` forces sequential).
-    pub fn run_matrix(&self, schemes: &[SchemeKind], workloads: &[Workload]) -> Vec<RunResult> {
-        self.run_matrix_on(&Pool::from_env(), schemes, workloads)
-    }
-
-    /// Runs the matrix on an explicit pool.
+    /// Runs every spec over every workload: the one matrix path every
+    /// figure takes. Every spec is validated before anything is simulated,
+    /// and every cell runs through [`run`](Harness::run).
     ///
-    /// Trace generation is itself fanned out (one task per workload); each
-    /// trace is then shared across schemes via `Arc`, and the (workload,
-    /// scheme) pairs go to the pool in workload-major order. Because
-    /// [`Pool::map`] positions results by input index, the returned vector
-    /// is in exactly the order the old sequential nested loop produced —
-    /// regardless of which worker finished first — and, since every task
-    /// seeds its own RNG streams from `(seed, workload)`, bit-for-bit
-    /// identical to a sequential run.
-    pub fn run_matrix_on(
+    /// Results come back workload-major, spec-minor — one row of
+    /// `specs.len()` results per workload — regardless of which worker
+    /// finished first, and, since every cell seeds its own RNG streams from
+    /// `(seed, workload)`, bit-for-bit identical to a sequential run. The
+    /// `source` only chooses wall clock and peak memory, never a report
+    /// (pinned by `tests/parallel_determinism.rs`).
+    pub fn run_matrix(
         &self,
         pool: &Pool,
-        schemes: &[SchemeKind],
+        specs: &[DeviceSpec],
         workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, schemes.len() * workloads.len()) {
-            pool
-        } else {
-            &seq
-        };
-        let traces: Vec<Arc<Trace>> =
-            pool.map(workloads.to_vec(), |_, w| self.trace_for(&w));
-        let tasks: Vec<(Workload, Arc<Trace>, SchemeKind)> = workloads
-            .iter()
-            .zip(&traces)
-            .flat_map(|(w, trace)| {
-                schemes
-                    .iter()
-                    .map(move |&s| (w.clone(), Arc::clone(trace), s))
-            })
-            .collect();
-        pool.map(tasks, |_, (w, trace, s)| self.run_on_trace(&w, &trace, s))
+        source: MatrixSource,
+    ) -> Result<Vec<RunResult>, SpecError> {
+        self.run_matrix_within(pool, specs, workloads, source, MATRIX_TRACE_BUDGET_BYTES)
     }
 
-    /// Runs the full matrix in streaming mode on the ambient pool.
-    ///
-    /// See [`run_matrix_streamed_on`](Harness::run_matrix_streamed_on).
-    pub fn run_matrix_streamed(
-        &self,
-        schemes: &[SchemeKind],
-        workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        self.run_matrix_streamed_on(&Pool::from_env(), schemes, workloads)
-    }
-
-    /// Runs the matrix in streaming mode on an explicit pool.
-    ///
-    /// Peak memory stays bounded regardless of `instructions_per_core`:
-    /// workloads are processed one at a time, and a workload whose
-    /// materialised trace fits under the [`matrix_trace_budget_bytes`]
-    /// budget is generated **once** and shared across all schemes (the
-    /// per-op hot path's single biggest redundancy was re-generating the
-    /// same stream once per scheme). Above the budget the workload falls
-    /// back to true chunk-by-chunk streaming per scheme, which is what
-    /// makes paper-scale volumes (100M–1B instructions/core) runnable at
-    /// all. Either way at most one workload's trace is live at a time, and
-    /// results are returned in workload-major order, bit-for-bit identical
-    /// to the materialised matrix (pinned by `tests/stream_equivalence.rs`
-    /// and `tests/parallel_determinism.rs`).
-    ///
-    /// [`run_matrix_on`]: Harness::run_matrix_on
-    pub fn run_matrix_streamed_on(
+    /// [`run_matrix`](Harness::run_matrix) with the streamed matrix's
+    /// per-workload trace budget as a parameter, so tests can force the
+    /// chunk-by-chunk fallback at test scale.
+    fn run_matrix_within(
         &self,
         pool: &Pool,
-        schemes: &[SchemeKind],
+        specs: &[DeviceSpec],
         workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        let seq = Pool::new(1);
-        let pool = if matrix_uses_pool(pool, schemes.len() * workloads.len()) {
-            pool
-        } else {
-            &seq
-        };
-        let budget = matrix_trace_budget_bytes();
-        let mut out = Vec::with_capacity(schemes.len() * workloads.len());
-        for w in workloads {
-            if self.trace_estimate_bytes(w) <= budget {
-                let trace = self.trace_for(w);
-                out.extend(pool.map(schemes.to_vec(), |_, s| self.run_on_trace(w, &trace, s)));
-            } else {
-                out.extend(pool.map(schemes.to_vec(), |_, s| {
-                    self.run(w, &s.into(), Source::Stream)
-                        .expect("a bare scheme is always a valid spec")
-                }));
-            }
+        source: MatrixSource,
+        budget_bytes: u64,
+    ) -> Result<Vec<RunResult>, SpecError> {
+        for spec in specs {
+            spec.validate()?;
         }
-        out
+        let seq = Pool::new(1);
+        let pool = if matrix_uses_pool(pool, specs.len() * workloads.len()) {
+            pool
+        } else {
+            &seq
+        };
+        let cell = |w: &Workload, spec: &DeviceSpec, src: Source<'_>| {
+            self.run(w, spec, src)
+                .expect("specs are validated up front")
+        };
+        Ok(match source {
+            MatrixSource::Materialised => {
+                let traces = pool.map(workloads.to_vec(), |_, w| self.trace_for(&w));
+                let cells: Vec<(usize, usize)> = (0..workloads.len())
+                    .flat_map(|w| (0..specs.len()).map(move |s| (w, s)))
+                    .collect();
+                pool.map(cells, |_, (w, s)| {
+                    cell(&workloads[w], &specs[s], Source::Trace(&traces[w]))
+                })
+            }
+            MatrixSource::Streamed => {
+                let mut out = Vec::with_capacity(specs.len() * workloads.len());
+                for w in workloads {
+                    let trace =
+                        (self.trace_estimate_bytes(w) <= budget_bytes).then(|| self.trace_for(w));
+                    let src = trace.as_deref().map_or(Source::Stream, Source::Trace);
+                    out.extend(pool.map(specs.to_vec(), |_, spec| cell(w, &spec, src)));
+                }
+                out
+            }
+        })
     }
 
     /// Estimated bytes a workload's materialised trace occupies: expected
@@ -297,27 +287,6 @@ impl Harness {
             * workload.mpki()
             / 1000.0) as u64;
         ops.saturating_mul(std::mem::size_of::<readduo_trace::MemOp>() as u64)
-    }
-
-    /// Parallel sensitivity sweep à la Figs. 12–13: one baseline scheme
-    /// plus one scheme per sweep point (k values, Select windows, …).
-    ///
-    /// Equivalent to `run_matrix(&[baseline, scheme_of(&p0), …], workloads)`
-    /// — every workload trace is generated once and shared across the
-    /// baseline and all points, and the whole `(1 + points) × workloads`
-    /// product is fanned out to the pool at once rather than point by
-    /// point.
-    pub fn sweep<P>(
-        &self,
-        baseline: SchemeKind,
-        points: &[P],
-        scheme_of: impl Fn(&P) -> SchemeKind,
-        workloads: &[Workload],
-    ) -> Vec<RunResult> {
-        let mut schemes = Vec::with_capacity(points.len() + 1);
-        schemes.push(baseline);
-        schemes.extend(points.iter().map(scheme_of));
-        self.run_matrix(&schemes, workloads)
     }
 }
 
@@ -420,27 +389,13 @@ pub fn finish_telemetry() {
     }
 }
 
-/// Per-workload trace-materialisation budget of the streamed matrix, in
-/// bytes (`READDUO_MATRIX_BUDGET_MB`, default 128 MB; 0 forces pure
-/// chunk-by-chunk streaming). A workload whose estimated trace fits the
-/// budget is generated once and shared across schemes instead of being
-/// re-generated per scheme — same reports either way, only the wall clock
-/// and the peak RSS differ.
-pub fn matrix_trace_budget_bytes() -> u64 {
-    readduo_env::u64_at_least("READDUO_MATRIX_BUDGET_MB", 0)
-        .unwrap_or(128)
-        .saturating_mul(1 << 20)
-}
-
-/// Whether a matrix of `tasks` (workload, scheme) pairs should fan out to
-/// `pool` at all.
+/// Whether a matrix of `tasks` cells should fan out to `pool` at all.
 ///
-/// Spinning up workers, cloning task inputs and funnelling results through
-/// a channel costs more than it saves when there are fewer tasks than
-/// workers (BENCH_sweep.json's `sweep/matrix_1w3s_pool` micro measured the
-/// pooled 1×3 matrix *slower* than sequential), so small matrices take the
-/// in-place sequential path.
-pub fn matrix_uses_pool(pool: &Pool, tasks: usize) -> bool {
+/// Spinning up workers and funnelling results through a channel costs more
+/// than it saves when there are fewer cells than workers (DESIGN.md,
+/// "Parallel sweep executor", records the measurement), so small matrices
+/// take the in-place sequential path.
+fn matrix_uses_pool(pool: &Pool, tasks: usize) -> bool {
     !pool.is_sequential() && tasks >= pool.workers()
 }
 
@@ -457,7 +412,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Finds the result for a (workload, scheme) pair.
-pub fn result_for<'a>(
+fn result_for<'a>(
     results: &'a [RunResult],
     workload: &str,
     scheme: SchemeKind,
@@ -601,12 +556,22 @@ mod tests {
         }
     }
 
+    /// The matrix on `pool` with the production budget.
+    fn matrix(
+        h: &Harness,
+        pool: usize,
+        specs: &[DeviceSpec],
+        source: MatrixSource,
+    ) -> Vec<RunResult> {
+        h.run_matrix(&Pool::new(pool), specs, &[Workload::toy()], source)
+            .expect("valid specs")
+    }
+
     #[test]
     fn matrix_runs_and_normalises() {
         let h = tiny_harness();
-        let schemes = [SchemeKind::Ideal, SchemeKind::MMetric];
-        let workloads = [Workload::toy()];
-        let results = h.run_matrix(&schemes, &workloads);
+        let specs = [SchemeKind::Ideal.into(), SchemeKind::MMetric.into()];
+        let results = matrix(&h, 2, &specs, MatrixSource::Materialised);
         assert_eq!(results.len(), 2);
         let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
         assert_eq!(rows.len(), 2, "one workload + geomean");
@@ -615,6 +580,25 @@ mod tests {
         let m = geo.iter().find(|(s, _)| *s == SchemeKind::MMetric).unwrap().1;
         assert!((ideal - 1.0).abs() < 1e-12);
         assert!(m >= 1.0, "M-metric cannot be faster than Ideal: {m}");
+    }
+
+    #[test]
+    fn matrix_rejects_an_invalid_spec_up_front() {
+        let h = tiny_harness();
+        let faulty_ideal = DeviceSpec {
+            faults: Some(3),
+            ..SchemeKind::Ideal.into()
+        };
+        let specs = [SchemeKind::Hybrid.into(), faulty_ideal];
+        let err = h
+            .run_matrix(
+                &Pool::new(1),
+                &specs,
+                &[Workload::toy()],
+                MatrixSource::Streamed,
+            )
+            .expect_err("Ideal has no injected read path");
+        assert_eq!(err.layer, "fault injection");
     }
 
     #[test]
@@ -657,7 +641,6 @@ mod tests {
 
     #[test]
     fn small_matrices_skip_the_pool() {
-        use readduo_pool::Pool;
         // Fewer tasks than workers: pooling costs more than it saves.
         assert!(!matrix_uses_pool(&Pool::new(4), 3));
         assert!(matrix_uses_pool(&Pool::new(4), 4));
@@ -670,15 +653,58 @@ mod tests {
     #[test]
     fn streamed_matrix_matches_materialised_matrix() {
         let h = tiny_harness();
-        let schemes = [SchemeKind::Ideal, SchemeKind::Scrubbing, SchemeKind::MMetric];
-        let workloads = [Workload::toy()];
-        let on_trace = h.run_matrix(&schemes, &workloads);
-        let streamed = h.run_matrix_streamed(&schemes, &workloads);
+        let specs = [
+            SchemeKind::Ideal.into(),
+            SchemeKind::Scrubbing.into(),
+            SchemeKind::MMetric.into(),
+        ];
+        let on_trace = matrix(&h, 2, &specs, MatrixSource::Materialised);
+        let streamed = matrix(&h, 2, &specs, MatrixSource::Streamed);
         assert_eq!(on_trace.len(), streamed.len());
         for (a, b) in on_trace.iter().zip(&streamed) {
             assert_eq!(a.workload, b.workload);
             assert_eq!(a.scheme, b.scheme);
             assert_eq!(a.report, b.report, "{}/{}", a.workload, a.scheme);
+        }
+    }
+
+    #[test]
+    fn streamed_matrix_past_its_budget_matches_materialised_matrix() {
+        // A zero budget forces the chunk-by-chunk fallback that paper-scale
+        // workloads take: every spec re-generates and streams the trace.
+        let h = tiny_harness();
+        let w = Workload::toy();
+        assert!(
+            h.trace_estimate_bytes(&w) > 0,
+            "the toy trace must exceed a zero budget"
+        );
+        let lwt = SchemeKind::Lwt { k: 4 };
+        let specs = [
+            SchemeKind::Ideal.into(),
+            SchemeKind::Scrubbing.into(),
+            DeviceSpec {
+                dram: Some(readduo_dram::DramConfig::new(h.seed, 256)),
+                ..lwt.into()
+            },
+            DeviceSpec {
+                faults: Some(3),
+                ..SchemeKind::Hybrid.into()
+            },
+        ];
+        let pool = Pool::new(2);
+        let workloads = std::slice::from_ref(&w);
+        let on_trace = h
+            .run_matrix(&pool, &specs, workloads, MatrixSource::Materialised)
+            .expect("valid specs");
+        let chunked = h
+            .run_matrix_within(&pool, &specs, workloads, MatrixSource::Streamed, 0)
+            .expect("valid specs");
+        assert_eq!(on_trace.len(), specs.len());
+        assert_eq!(chunked.len(), specs.len());
+        for ((a, b), spec) in on_trace.iter().zip(&chunked).zip(&specs) {
+            assert_eq!(a.scheme, spec.scheme, "results are in spec order");
+            assert_eq!(a.report, b.report, "{spec:?}");
+            assert!(a.report.reads > 0, "{spec:?} ran nothing");
         }
     }
 
@@ -695,12 +721,14 @@ mod tests {
     fn run_one_matches_matrix_entry() {
         // The thin wrapper and the pooled matrix path must agree exactly.
         let h = tiny_harness();
-        let w = Workload::toy();
-        let lone = h.run_one(&w, &SchemeKind::Ideal.into()).unwrap();
-        let matrix = h.run_matrix_on(
-            &readduo_pool::Pool::new(2),
-            &[SchemeKind::Ideal],
-            std::slice::from_ref(&w),
+        let lone = h
+            .run_one(&Workload::toy(), &SchemeKind::Ideal.into())
+            .unwrap();
+        let matrix = matrix(
+            &h,
+            2,
+            &[SchemeKind::Ideal.into()],
+            MatrixSource::Materialised,
         );
         assert_eq!(lone.report, matrix[0].report);
     }
@@ -739,31 +767,6 @@ mod tests {
             names(DeviceSpec { dram, ..worn }, true),
             pair("sim-stream-worn-tiered/toy/LWT-4", "toy/LWT-4 (worn+tiered)")
         );
-    }
-
-    #[test]
-    fn sweep_matches_run_matrix() {
-        let h = tiny_harness();
-        let workloads = [Workload::toy()];
-        let by_sweep = h.sweep(
-            SchemeKind::Ideal,
-            &[2u8, 4],
-            |&k| SchemeKind::Lwt { k },
-            &workloads,
-        );
-        let by_matrix = h.run_matrix(
-            &[
-                SchemeKind::Ideal,
-                SchemeKind::Lwt { k: 2 },
-                SchemeKind::Lwt { k: 4 },
-            ],
-            &workloads,
-        );
-        assert_eq!(by_sweep.len(), by_matrix.len());
-        for (a, b) in by_sweep.iter().zip(&by_matrix) {
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.report, b.report);
-        }
     }
 
     #[test]

@@ -124,18 +124,6 @@ pub fn recognized() -> &'static [EnvVar] {
             doc: "Monte-Carlo sample size (lines per point) in fault_mc",
         },
         EnvVar {
-            name: "READDUO_BENCH_SAMPLES",
-            kind: EnvKind::Count { min: 3 },
-            default: "20",
-            doc: "Timed samples per microbenchmark case",
-        },
-        EnvVar {
-            name: "READDUO_BENCH_SKIP_10M",
-            kind: EnvKind::Flag,
-            default: "0",
-            doc: "Skip bench_sweep's paper-scale fig9@10M leg when set",
-        },
-        EnvVar {
             name: "READDUO_PROP_SEED",
             kind: EnvKind::Seed,
             default: "unset (run all cases)",
@@ -170,12 +158,6 @@ pub fn recognized() -> &'static [EnvVar] {
             kind: EnvKind::Count { min: 1 },
             default: "262144",
             doc: "Bounded ring capacity (events) of the telemetry trace buffer",
-        },
-        EnvVar {
-            name: "READDUO_MATRIX_BUDGET_MB",
-            kind: EnvKind::Count { min: 0 },
-            default: "128",
-            doc: "Per-workload trace-materialisation budget (MB) in streamed matrices; 0 streams everything",
         },
         EnvVar {
             name: "READDUO_ARENA_CAP",

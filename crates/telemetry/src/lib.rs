@@ -28,8 +28,8 @@
 //! collapses to a load-and-branch no-op, so instrumented code paths stay
 //! bit-for-bit identical to uninstrumented ones (pinned by the
 //! determinism, golden, and stream-equivalence suites) and within noise
-//! of their wall-clock baseline (pinned by the `telemetry/*` microbench
-//! group and the ci.sh budget).
+//! of their wall-clock baseline (bounded by the ci.sh budgets and
+//! measured by perfbench's `telemetry.overhead_ratio`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,17 @@
 //! Scheme shootout on one workload: run every scheme configuration on the
 //! benchmark named on the command line (default `mcf`) and print the full
-//! metric panel — time, energy, lifetime, read-mode mix.
+//! metric panel — time, energy, lifetime, read-mode mix, the share of reads
+//! to lines with no tracked write time, and R-M-read conversions.
 //!
 //! ```text
 //! cargo run --release --example scheme_shootout -- sphinx3
 //! ```
 
-use readduo::core::{DeviceHints, DeviceSpec, SchemeKind};
-use readduo::memsim::{MemoryConfig, Simulator};
-use readduo::trace::{TraceGenerator, Workload};
+use readduo::core::{DeviceSpec, SchemeKind};
+use readduo::memsim::MemoryConfig;
+use readduo::trace::Workload;
+use readduo_bench::{Harness, MatrixSource};
+use readduo_pool::Pool;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mcf".into());
@@ -19,23 +22,12 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(500_000u64);
 
-    let trace = TraceGenerator::new(11).generate(&workload, instr, 4);
-    let sim = Simulator::new(MemoryConfig::paper());
-    let hints = DeviceHints {
-        warm_boundary: (workload.footprint_lines as f64 * workload.locality.written_fraction)
-            as u64,
-        footprint_lines: workload.footprint_lines,
+    let harness = Harness {
+        instructions_per_core: instr,
+        cores: 4,
+        seed: 11,
+        memory: MemoryConfig::paper(),
     };
-
-    println!(
-        "workload {name}: {} reads, {} writes over {instr} instr/core x 4 cores\n",
-        trace.total_reads(),
-        trace.total_writes()
-    );
-    println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
-        "scheme", "exec(ms)", "energy(uJ)", "Mcells", "R%", "M%", "RM%", "scrubs"
-    );
     let kinds = [
         SchemeKind::Ideal,
         SchemeKind::Scrubbing,
@@ -47,20 +39,39 @@ fn main() {
         SchemeKind::Select { k: 4, s: 1 },
         SchemeKind::Select { k: 4, s: 2 },
         SchemeKind::Tlc,
-    ];
-    for kind in kinds {
-        let mut dev = DeviceSpec::from(kind).build(5, 0, 1, hints);
-        let rep = sim.run(&trace, dev.as_mut());
+    ]
+    .map(DeviceSpec::from);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &kinds,
+            &[workload],
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
+
+    println!(
+        "workload {name}: {} reads, {} writes over {instr} instr/core x 4 cores\n",
+        results[0].report.reads, results[0].report.writes
+    );
+    println!(
+        "{:<16} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>8} {:>9}",
+        "scheme", "exec(ms)", "energy(uJ)", "Mcells", "R%", "M%", "RM%", "untrk%", "conv", "scrubs"
+    );
+    for r in &results {
+        let rep = &r.report;
         let reads = rep.reads.max(1) as f64;
         println!(
-            "{:<16} {:>9.3} {:>9.1} {:>9.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>9}",
-            kind.label(),
+            "{:<16} {:>9.3} {:>9.1} {:>9.2} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>8} {:>9}",
+            r.scheme.label(),
             rep.exec_seconds() * 1e3,
             rep.energy_total_pj() / 1e6,
             rep.cells_written_total() as f64 / 1e6,
             100.0 * rep.reads_r as f64 / reads,
             100.0 * rep.reads_m as f64 / reads,
             100.0 * rep.reads_rm as f64 / reads,
+            100.0 * rep.untracked_fraction(),
+            rep.conversions,
             rep.scrubs,
         );
     }

@@ -19,7 +19,8 @@ use readduo::memsim::{
     DeviceModel, MemoryConfig, ReadMode, ReadOutcome, ScrubOutcome, WriteOutcome,
 };
 use readduo::trace::Workload;
-use readduo_bench::Harness;
+use readduo_bench::{Harness, MatrixSource};
+use readduo_pool::Pool;
 use readduo_rng::Rng as _;
 
 fn harness() -> Harness {
@@ -125,6 +126,27 @@ fn dram_tier_reduces_lwt_escalation_and_write_traffic() {
         "write absorption must beat demotion traffic: tiered {} vs base {} cells",
         tiered.report.cells_written_total(),
         base.report.cells_written_total()
+    );
+}
+
+/// A bigger tier holds more of the working set: at a fixed migration
+/// threshold the hit rate never falls as capacity grows, and the largest
+/// tier hits strictly more often than the smallest.
+#[test]
+fn dram_hit_rate_grows_with_capacity() {
+    let harness = harness();
+    let w = Workload::by_name("mcf").expect("mcf");
+    let specs: Vec<DeviceSpec> = [64, 256, 1_024]
+        .map(|lines| DramConfig::new(harness.seed, lines).with_threshold(1))
+        .map(|dram| with_tier(SchemeKind::Lwt { k: 4 }.into(), dram))
+        .to_vec();
+    let runs = harness
+        .run_matrix(&Pool::new(1), &specs, &[w], MatrixSource::Materialised)
+        .expect("valid specs");
+    let hit_rates: Vec<f64> = runs.iter().map(|r| r.report.dram_hit_rate()).collect();
+    assert!(
+        hit_rates.windows(2).all(|p| p[1] >= p[0]) && hit_rates[2] > hit_rates[0],
+        "hit rate must grow with DRAM capacity: {hit_rates:?}"
     );
 }
 

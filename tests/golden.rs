@@ -9,12 +9,13 @@
 //! (1M instr/core) while the test runs a reduced volume, and the RNG
 //! streams differ from the run that produced the file.
 
-use readduo::core::SchemeKind;
+use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::memsim::MemoryConfig;
 use readduo::pcm::MetricConfig;
 use readduo::reliability::{target, CellErrorModel, LerAnalysis};
 use readduo::trace::Workload;
-use readduo_bench::{fmt_prob, normalized, Harness};
+use readduo_bench::{fmt_prob, normalized, Harness, MatrixSource};
+use readduo_pool::Pool;
 
 /// Parses one table cell: `too small` → `None`, otherwise the number.
 fn parse_cell(cell: &str) -> Option<f64> {
@@ -155,7 +156,15 @@ fn fig3_matches_golden() {
         seed: 0x00D5_EAD0_2016,
         memory: MemoryConfig::paper(),
     };
-    let results = harness.run_matrix(&schemes, &Workload::spec2006());
+    let specs = schemes.map(DeviceSpec::from);
+    let results = harness
+        .run_matrix(
+            &Pool::from_env(),
+            &specs,
+            &Workload::spec2006(),
+            MatrixSource::Materialised,
+        )
+        .expect("bare schemes are valid specs");
     let rows = normalized(&results, SchemeKind::Ideal, |r| r.exec_ns as f64);
     let (label, geo) = rows.last().unwrap();
     assert_eq!(label, "geomean");

@@ -1,7 +1,9 @@
 //! Tier-1 guarantee of the sweep executor: the parallel matrix produces
-//! bit-for-bit the same `SimReport`s as the sequential one.
+//! bit-for-bit the same `SimReport`s as the sequential one, and the
+//! streamed matrix the same as the materialised one, for bare, worn and
+//! tiered specs alike.
 //!
-//! Both runs happen inside a single `#[test]` so the `READDUO_THREADS`
+//! All runs happen inside a single `#[test]` so the `READDUO_THREADS`
 //! environment flips cannot race another test in this binary.
 //!
 //! `READDUO_CHANNELS` widens the topology (default 1), so the same gate
@@ -12,7 +14,8 @@
 use readduo::core::{DeviceSpec, SchemeKind};
 use readduo::memsim::MemoryConfig;
 use readduo::trace::Workload;
-use readduo_bench::Harness;
+use readduo_bench::{Harness, MatrixSource, RunResult};
+use readduo_pool::Pool;
 
 #[test]
 fn run_matrix_is_identical_across_thread_counts() {
@@ -23,89 +26,74 @@ fn run_matrix_is_identical_across_thread_counts() {
         seed: 0x00D5_EAD0_2016,
         memory: MemoryConfig::small_test().with_channels(channels),
     };
-    let schemes = [
-        SchemeKind::Scrubbing,
-        SchemeKind::MMetric,
-        SchemeKind::Lwt { k: 4 },
-    ];
-    let workloads = [Workload::toy(), Workload::by_name("gcc").expect("gcc")];
-
-    // Worn runs ride the same env flips: with hard faults and remapping
+    // Worn specs ride the same env flips: with hard faults and remapping
     // enabled the merged report must still be independent of the pool
     // width (the wear table is per-channel state like everything else).
-    let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
-    let worn_spec = DeviceSpec {
-        faults: Some(0x00FA_0017),
-        wear: Some(wear),
-        ..SchemeKind::Select { k: 4, s: 2 }.into()
-    };
-    let worn_workload = Workload::by_name("mcf").expect("mcf");
-
-    // Tiered runs too: the DRAM cache is per-channel state, so the merged
+    // Tiered specs too: the DRAM cache is per-channel state, so the merged
     // tiered report must also be independent of the pool width.
+    let wear = readduo::core::WearConfig::new(0x00FA_0017).with_accel(4_000_000);
     let dram = readduo::dram::DramConfig::new(harness.seed, 1_024).with_threshold(1);
-    let tiered_spec = DeviceSpec { dram: Some(dram), ..SchemeKind::Lwt { k: 4 }.into() };
-    let tiered_workload = Workload::by_name("gcc").expect("gcc");
+    let specs = [
+        SchemeKind::Scrubbing.into(),
+        SchemeKind::MMetric.into(),
+        SchemeKind::Lwt { k: 4 }.into(),
+        DeviceSpec {
+            faults: Some(0x00FA_0017),
+            wear: Some(wear),
+            ..SchemeKind::Select { k: 4, s: 2 }.into()
+        },
+        DeviceSpec {
+            dram: Some(dram),
+            ..SchemeKind::Lwt { k: 4 }.into()
+        },
+    ];
+    let workloads = [
+        Workload::toy(),
+        Workload::by_name("gcc").expect("gcc"),
+        Workload::by_name("mcf").expect("mcf"),
+    ];
+    let matrix = |source| -> Vec<RunResult> {
+        harness
+            .run_matrix(&Pool::from_env(), &specs, &workloads, source)
+            .expect("valid specs")
+    };
 
     std::env::set_var("READDUO_THREADS", "4");
-    let parallel = harness.run_matrix(&schemes, &workloads);
-    let streamed_par = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_par = harness.run_one(&worn_workload, &worn_spec).expect("Select is injectable");
-    let tiered_par = harness.run_one(&tiered_workload, &tiered_spec).expect("tiers fit LWT");
+    let parallel = matrix(MatrixSource::Materialised);
+    let streamed_par = matrix(MatrixSource::Streamed);
     std::env::set_var("READDUO_THREADS", "1");
-    let sequential = harness.run_matrix(&schemes, &workloads);
-    let streamed_seq = harness.run_matrix_streamed(&schemes, &workloads);
-    let worn_seq = harness.run_one(&worn_workload, &worn_spec).expect("Select is injectable");
-    let tiered_seq = harness.run_one(&tiered_workload, &tiered_spec).expect("tiers fit LWT");
+    let sequential = matrix(MatrixSource::Materialised);
+    let streamed_seq = matrix(MatrixSource::Streamed);
     std::env::remove_var("READDUO_THREADS");
 
-    assert_eq!(
-        worn_par.report, worn_seq.report,
-        "worn run diverged across thread counts"
-    );
-    assert_eq!(
-        tiered_par.report, tiered_seq.report,
-        "tiered run diverged across thread counts"
-    );
-    assert!(
-        tiered_par.report.dram_hits > 0,
-        "tiered determinism leg must actually hit in DRAM"
-    );
-
-    assert_eq!(parallel.len(), schemes.len() * workloads.len());
-    assert_eq!(sequential.len(), parallel.len());
-    assert_eq!(streamed_par.len(), parallel.len());
-    assert_eq!(streamed_seq.len(), parallel.len());
-    for (((p, s), sp), ss) in parallel
-        .iter()
-        .zip(&sequential)
-        .zip(&streamed_par)
-        .zip(&streamed_seq)
-    {
-        assert_eq!(p.workload, s.workload, "matrix order must not depend on completion order");
-        assert_eq!(p.scheme, s.scheme);
-        assert_eq!(
-            p.report, s.report,
-            "parallel report diverged for {} / {}",
-            p.workload, p.scheme
-        );
-        assert_eq!((&sp.workload, sp.scheme), (&p.workload, p.scheme));
-        assert_eq!((&ss.workload, ss.scheme), (&p.workload, p.scheme));
-        assert_eq!(
-            sp.report, p.report,
-            "streamed parallel report diverged for {} / {}",
-            p.workload, p.scheme
-        );
-        assert_eq!(
-            ss.report, p.report,
-            "streamed sequential report diverged for {} / {}",
-            p.workload, p.scheme
-        );
+    assert_eq!(parallel.len(), specs.len() * workloads.len());
+    for other in [&sequential, &streamed_par, &streamed_seq] {
+        assert_eq!(other.len(), parallel.len());
+        for (p, o) in parallel.iter().zip(other) {
+            assert_eq!(
+                (p.workload, p.scheme),
+                (o.workload, o.scheme),
+                "matrix order must not depend on completion order"
+            );
+            assert_eq!(
+                p.report, o.report,
+                "report diverged for {} / {}",
+                p.workload, p.scheme
+            );
+        }
     }
-    // Workload-major, scheme-minor order — exactly the old nested loop.
+    // Workload-major, spec-minor order — exactly the old nested loop.
     assert_eq!(parallel[0].workload, "toy");
-    assert_eq!(parallel[2].workload, "toy");
-    assert_eq!(parallel[3].workload, "gcc");
+    assert_eq!(parallel[4].workload, "toy");
+    assert_eq!(parallel[5].workload, "gcc");
     assert_eq!(parallel[0].scheme, SchemeKind::Scrubbing);
-    assert_eq!(parallel[4].scheme, SchemeKind::MMetric);
+    assert_eq!(parallel[6].scheme, SchemeKind::MMetric);
+    // The layered legs must actually exercise their layer.
+    let mcf_worn = &parallel[2 * specs.len() + 3].report;
+    assert!(mcf_worn.verify_retries > 0, "worn leg must wear cells out");
+    let gcc_tiered = &parallel[specs.len() + 4].report;
+    assert!(
+        gcc_tiered.dram_hits > 0,
+        "tiered leg must actually hit in DRAM"
+    );
 }
